@@ -10,7 +10,6 @@ from .families import (
     apply_swap,
     build_base_graph,
     build_family,
-    find_connecting_swaps,
     iter_connecting_swaps,
 )
 from .formulas import (
@@ -77,7 +76,6 @@ __all__ = [
     "distinctness_certificate",
     "edge",
     "exhaustive_chi_la",
-    "find_connecting_swaps",
     "iter_connecting_swaps",
     "graph_stats",
     "induced_colors",

@@ -93,13 +93,9 @@ def _search_impl(eu, ev, degrees, adj_off, adj_flat, q, n, prune):
     return best, best_labels, tried, valid
 
 
-def _want_numba() -> bool:
-    return os.environ.get("ANTIMAGIC_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
 USING_NUMBA = False
 search = _search_impl
-if _want_numba():
+if os.environ.get("ANTIMAGIC_NO_NUMBA", "") not in ("1", "true", "yes"):
     try:
         from numba import njit
 

@@ -10,11 +10,11 @@ from typing import List, Optional
 import click
 
 from . import io
-from .families import SwapError, build_family, find_connecting_swaps
+from .families import SwapError, build_family, iter_connecting_swaps
 from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
 from .oracle import PRESETS, exhaustive_chi_la
-from .sweep import grid_cells, report_to_json, run_sweep
+from .sweep import grid_cells, report_to_json, run_sweep, worker_count
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -163,6 +163,11 @@ def sweep(
     out: Optional[str],
 ) -> None:
     """Verify every family instance over a parameter grid."""
+    try:
+        worker_count()
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     fams = [Family(f) for f in families]
     cells = grid_cells(
         fams,
@@ -208,7 +213,7 @@ def oracle(
         else:
             raise click.UsageError("need --preset or --graph")
         result = exhaustive_chi_la(g, edge_budget=budget, prune=not no_prune)
-    except (io.ParseError, ValueError) as exc:
+    except (io.ParseError, ValueError, GraphError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     payload = {
@@ -250,7 +255,7 @@ def swaps(
         g = build_family(params, stage=stage)
     except ParamError as exc:
         raise click.UsageError(str(exc))
-    moves = find_connecting_swaps(g)
+    moves = list(iter_connecting_swaps(g))
     _write(io.swaps_to_json(moves, g), out)
 
 

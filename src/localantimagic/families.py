@@ -2,8 +2,8 @@
 the leaf-merge step, and label-preserving 2-swaps."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .graph import (
     Edge,
@@ -117,9 +117,7 @@ def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     if params.factorization is None:
         raise ParamError("merge requires a factorization (r, s)")
     target = _merge_groups(params)
-    part = {}
-    for v, c in g.part.items():
-        part[target.get(v, v)] = c
+    part = {target.get(v, v): c for v, c in g.part.items()}
     labels: Dict[Edge, int] = {}
     for (a, b), lab in g.labels.items():
         e = edge(target.get(a, a), target.get(b, b))
@@ -129,10 +127,11 @@ def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     return LabeledGraph(part=part, edges=set(labels), labels=labels)
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(NamedTuple):
     """Exchange two equal-sum edge pairs between two center vertices,
-    keeping labels and far endpoints; all induced colors are preserved."""
+    keeping labels and far endpoints; all induced colors are preserved.
+
+    A tuple: it compares equal to the plain tuple of its four fields."""
 
     center_a: VertexId
     center_b: VertexId
@@ -211,22 +210,24 @@ def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
     return LabeledGraph(part=dict(g.part), edges=set(labels), labels=labels)
 
 
-def swap_pair_buckets(
-    g: LabeledGraph,
-) -> Dict[VertexId, Dict[int, List[Tuple[Edge, Edge]]]]:
+# ((smaller label, larger label), (edge, edge)) per incident edge pair
+PairBucket = List[Tuple[Tuple[int, int], Tuple[Edge, Edge]]]
+
+
+def swap_pair_buckets(g: LabeledGraph) -> Dict[VertexId, Dict[int, PairBucket]]:
     """Per leaf-class vertex: incident edge pairs grouped by label sum,
-    pairs ordered by their (smaller, larger) label pair."""
+    each stored with its (smaller, larger) label pair and in that order."""
     inc = g.incident()
-    buckets: Dict[VertexId, Dict[int, List[Tuple[Edge, Edge]]]] = {}
+    buckets: Dict[VertexId, Dict[int, PairBucket]] = {}
     for c in sorted(g.part):
         if g.part[c] != 3:
             continue
-        edges_c = sorted(inc[c], key=lambda e: g.labels[e])
-        by_sum: Dict[int, List[Tuple[Edge, Edge]]] = {}
-        for ai in range(len(edges_c)):
-            for bi in range(ai + 1, len(edges_c)):
-                e1, e2 = edges_c[ai], edges_c[bi]
-                by_sum.setdefault(g.labels[e1] + g.labels[e2], []).append((e1, e2))
+        edges_c = sorted(inc[c], key=g.labels.__getitem__)
+        labs = [g.labels[e] for e in edges_c]
+        by_sum: Dict[int, PairBucket] = {}
+        for ai, (l1, e1) in enumerate(zip(labs, edges_c)):
+            for l2, e2 in zip(labs[ai + 1 :], edges_c[ai + 1 :]):
+                by_sum.setdefault(l1 + l2, []).append(((l1, l2), (e1, e2)))
         buckets[c] = by_sum
     return buckets
 
@@ -247,38 +248,37 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
     comp = components_of(g)
     buckets = swap_pair_buckets(g)
     centers = sorted(buckets)
-    inc = g.incident()
+    degree = Counter(v for e in g.edges for v in e)
     for ai, ca in enumerate(centers):
+        by_sum_a = buckets[ca]
         for cb in centers[ai + 1 :]:
-            if comp[ca] == comp[cb] or len(inc[ca]) != len(inc[cb]):
+            if comp[ca] == comp[cb] or degree[ca] != degree[cb]:
                 continue
-            shared = buckets[ca].keys() & buckets[cb].keys()
-            combos = []
-            for s in shared:
-                for pa in buckets[ca][s]:
-                    la = (g.labels[pa[0]], g.labels[pa[1]])
-                    for pb in buckets[cb][s]:
-                        lb = (g.labels[pb[0]], g.labels[pb[1]])
-                        combos.append((la, lb, pa, pb))
+            by_sum_b = buckets[cb]
+            combos = [
+                (la, lb, pa, pb)
+                for s in by_sum_a.keys() & by_sum_b.keys()
+                for la, pa in by_sum_a[s]
+                for lb, pb in by_sum_b[s]
+            ]
             combos.sort()
             for _, _, pa, pb in combos:
                 yield SwapMove(ca, cb, pa, pb)
-
-
-def find_connecting_swaps(g: LabeledGraph) -> List[SwapMove]:
-    """List form of iter_connecting_swaps; see there for the contract."""
-    return list(iter_connecting_swaps(g))
 
 
 def build_family(
     params: FamilyParams,
     stage: str = "crossed",
     swaps: Optional[List[SwapMove]] = None,
+    mat: Optional[LabelMatrix] = None,
 ) -> LabeledGraph:
-    """Convenience pipeline: matrix -> base -> crossed [-> merged] [-> swaps]."""
+    """Convenience pipeline: matrix -> base -> crossed [-> merged] [-> swaps].
+
+    Pass `mat`, the label matrix of `params`, when the caller has it already.
+    """
     if stage not in ("base", "crossed", "merged"):
         raise ParamError(f"unknown stage {stage!r}")
-    g = build_base_graph(build_matrix(params))
+    g = build_base_graph(build_matrix(params) if mat is None else mat)
     if stage != "base":
         g = apply_crossing(g, params)
     if stage == "merged":

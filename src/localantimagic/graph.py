@@ -1,10 +1,10 @@
 """Graph data model, induced colors, and the local antimagic verifier."""
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 
 class Role(IntEnum):
@@ -20,19 +20,33 @@ class Role(IntEnum):
     MX = 7
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class _VertexFields(NamedTuple):
     role: Role
     copy_index: int
     leaf_index: int = 0
 
-    def __post_init__(self):
-        if self.copy_index < 1:
-            raise ValueError(f"copy_index must be >= 1, got {self.copy_index}")
-        if self.leaf_index < 0:
-            raise ValueError(f"leaf_index must be >= 0, got {self.leaf_index}")
-        if self.role in (Role.U, Role.V) and self.leaf_index != 0:
+
+class VertexId(_VertexFields):
+    """(role, copy_index, leaf_index), validated on construction.  A tuple:
+    hashing, equality and ordering run in C and match the plain field
+    tuple's, and it compares equal to that tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, role: Role, copy_index: int, leaf_index: int = 0) -> "VertexId":
+        if copy_index < 1:
+            raise ValueError(f"copy_index must be >= 1, got {copy_index}")
+        if leaf_index < 0:
+            raise ValueError(f"leaf_index must be >= 0, got {leaf_index}")
+        if type(role) is not Role:
+            role = Role(role)
+        if role in (Role.U, Role.V) and leaf_index != 0:
             raise ValueError("U/V vertices carry no leaf index")
+        return tuple.__new__(cls, (role, copy_index, leaf_index))
+
+    @classmethod
+    def _make(cls, fields) -> "VertexId":  # _replace() builds through here too
+        return cls(*fields)
 
     def __str__(self) -> str:
         return f"{self.role.name.lower()}:{self.copy_index}:{self.leaf_index}"
@@ -97,13 +111,6 @@ class LabeledGraph:
     def sorted_edges(self) -> List[Edge]:
         return sorted(self.edges)
 
-    def adjacency(self) -> Dict[VertexId, List[VertexId]]:
-        adj: Dict[VertexId, List[VertexId]] = {v: [] for v in self.part}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
     def incident(self) -> Dict[VertexId, List[Edge]]:
         inc: Dict[VertexId, List[Edge]] = {v: [] for v in self.part}
         for e in self.edges:
@@ -150,17 +157,8 @@ def induced_colors(g: LabeledGraph) -> Dict[VertexId, int]:
 
 def _bijection_failures(g: LabeledGraph) -> List[int]:
     """Labels that are duplicated or outside [1, q]."""
-    q = g.q
-    seen: Dict[int, int] = {}
-    bad: Set[int] = set()
-    for lab in g.labels.values():
-        if lab < 1 or lab > q:
-            bad.add(lab)
-        seen[lab] = seen.get(lab, 0) + 1
-    for lab, cnt in seen.items():
-        if cnt > 1:
-            bad.add(lab)
-    return sorted(bad)
+    counts = Counter(g.labels.values())
+    return sorted(lab for lab, n in counts.items() if n > 1 or not 1 <= lab <= g.q)
 
 
 def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
@@ -189,23 +187,42 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
     )
 
 
-def _is_bipartite(g: LabeledGraph) -> bool:
-    adj = g.adjacency()
-    side: Dict[VertexId, int] = {}
-    for start in g.vertices():
-        if start in side:
+class _Traversal(NamedTuple):
+    vertices: List[VertexId]  # sorted
+    component: List[int]  # per vertex, numbered by smallest contained vertex
+    components: int
+    degrees: List[int]  # sorted
+    bipartite: bool
+
+
+def _traverse(g: LabeledGraph) -> _Traversal:
+    """One BFS over one integer adjacency, started from each unvisited
+    vertex in sorted order: components, degree sequence, bipartiteness."""
+    verts = g.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    adj: List[List[int]] = [[] for _ in verts]
+    for a, b in g.edges:
+        ia, ib = index[a], index[b]
+        adj[ia].append(ib)
+        adj[ib].append(ia)
+    comp = [-1] * len(verts)
+    side = [0] * len(verts)
+    count, bipartite = 0, True
+    for start in range(len(verts)):
+        if comp[start] >= 0:
             continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        comp[start] = count
+        queue = [start]
+        for v in queue:  # the list grows while it is read: a FIFO queue
             for w in adj[v]:
-                if w not in side:
-                    side[w] = 1 - side[v]
+                if comp[w] < 0:
+                    comp[w] = count
+                    side[w] = side[v] ^ 1
                     queue.append(w)
                 elif side[w] == side[v]:
-                    return False
-    return True
+                    bipartite = False
+        count += 1
+    return _Traversal(verts, comp, count, sorted(map(len, adj)), bipartite)
 
 
 def chromatic_lower_bound(g: LabeledGraph) -> int:
@@ -213,7 +230,7 @@ def chromatic_lower_bound(g: LabeledGraph) -> int:
     bipartite with an edge, else 3 certified by the stored tripartition."""
     if not g.edges:
         return 1
-    if _is_bipartite(g):
+    if _traverse(g).bipartite:
         return 2
     g.check_tripartite()
     return 3
@@ -223,41 +240,12 @@ def graph_stats(
     g: LabeledGraph,
 ) -> Tuple[int, List[int], Optional[int]]:
     """(component count, sorted degree sequence, regular degree or None)."""
-    adj = g.adjacency()
-    seen: Set[VertexId] = set()
-    components = 0
-    for start in g.vertices():
-        if start in seen:
-            continue
-        components += 1
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    degs = sorted(len(adj[v]) for v in g.part)
-    regular = degs[0] if degs and degs[0] == degs[-1] else None
-    return components, degs, regular
+    t = _traverse(g)
+    regular = t.degrees[0] if t.degrees and t.degrees[0] == t.degrees[-1] else None
+    return t.components, t.degrees, regular
 
 
 def components_of(g: LabeledGraph) -> Dict[VertexId, int]:
     """Component index per vertex, numbered by smallest contained vertex."""
-    adj = g.adjacency()
-    comp: Dict[VertexId, int] = {}
-    idx = 0
-    for start in g.vertices():
-        if start in comp:
-            continue
-        comp[start] = idx
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in comp:
-                    comp[w] = idx
-                    queue.append(w)
-        idx += 1
-    return comp
+    t = _traverse(g)
+    return dict(zip(t.vertices, t.component))

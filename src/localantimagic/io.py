@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from .families import SwapMove
 from .graph import ColorReport, Edge, LabeledGraph, VertexId, edge
 from .matrices import Family, FamilyParams, LabelMatrix
@@ -54,14 +52,18 @@ def graph_from_json(text: str) -> LabeledGraph:
             raise ParseError(
                 f"unsupported format_version {data['format_version']}"
             )
-        part = {
-            VertexId.parse(item["id"]): int(item["part"])
-            for item in data["vertices"]
-        }
+        part: Dict[VertexId, int] = {}
+        for item in data["vertices"]:
+            v = VertexId.parse(item["id"])
+            if v in part:
+                raise ParseError(f"vertex {v} listed twice")
+            part[v] = int(item["part"])
         edges = set()
         labels: Dict[Edge, int] = {}
         for item in data["edges"]:
             e = edge(VertexId.parse(item["u"]), VertexId.parse(item["v"]))
+            if e in edges:
+                raise ParseError(f"edge ({e[0]}, {e[1]}) listed twice")
             edges.add(e)
             if "label" in item:
                 labels[e] = int(item["label"])
@@ -91,10 +93,22 @@ def graph_to_graph6(g: LabeledGraph) -> str:
     pair with labels_sidecar() to keep them."""
     verts = g.vertices()
     index = {v: i for i, v in enumerate(verts)}
-    G = nx.Graph()
-    G.add_nodes_from(range(len(verts)))
-    G.add_edges_from((index[a], index[b]) for a, b in g.sorted_edges())
-    return nx.to_graph6_bytes(G, header=False).decode("ascii")
+    n = len(verts)
+    if n <= 62:
+        size = [n]
+    elif n <= 258047:
+        size = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    else:
+        size = [63, 63] + [n >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+    # Bit i + j(j-1)/2 is the pair i < j (edges are normalized): the upper
+    # triangle column by column, six bits per character from the high bit,
+    # plus 63 ("?").  Edges are distinct, so adding sets each bit once.
+    data = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for a, b in g.edges:
+        i, j = index[a], index[b]
+        bit = i + j * (j - 1) // 2
+        data[bit // 6] += 32 >> bit % 6
+    return (bytes(d + 63 for d in size) + data).decode("ascii") + "\n"
 
 
 def labels_sidecar(g: LabeledGraph) -> str:
@@ -183,24 +197,15 @@ def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> st
 
 def swaps_from_json(text: str) -> List[SwapMove]:
     try:
-        data = json.loads(text)
-        moves = []
-        for item in data["moves"]:
-            moves.append(
-                SwapMove(
-                    center_a=VertexId.parse(item["center_a"]),
-                    center_b=VertexId.parse(item["center_b"]),
-                    pair_a=(
-                        _edge_parse(item["pair_a"][0]),
-                        _edge_parse(item["pair_a"][1]),
-                    ),
-                    pair_b=(
-                        _edge_parse(item["pair_b"][0]),
-                        _edge_parse(item["pair_b"][1]),
-                    ),
-                )
+        return [
+            SwapMove(
+                center_a=VertexId.parse(item["center_a"]),
+                center_b=VertexId.parse(item["center_b"]),
+                pair_a=(_edge_parse(item["pair_a"][0]), _edge_parse(item["pair_a"][1])),
+                pair_b=(_edge_parse(item["pair_b"][0]), _edge_parse(item["pair_b"][1])),
             )
-        return moves
+            for item in json.loads(text)["moves"]
+        ]
     except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"bad swap list: {exc}") from exc
 

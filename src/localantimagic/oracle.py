@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,25 @@ def _edge_order(g: LabeledGraph) -> List[Edge]:
     )
 
 
+def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
+    """The search order of g's edges and the kernel's array arguments
+    (eu, ev, degrees, adj_off, adj_flat, q, n) for that order."""
+    verts = g.vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    order = _edge_order(g)
+    eu = np.array([index[e[0]] for e in order], dtype=np.int64)
+    ev = np.array([index[e[1]] for e in order], dtype=np.int64)
+    n = len(verts)
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for a, b in zip(eu.tolist(), ev.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
+    adj_off = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+    adj_flat = np.array([w for nbrs in adj for w in nbrs] or [0], dtype=np.int64)
+    return order, (eu, ev, degrees, adj_off, adj_flat, len(order), n)
+
+
 def exhaustive_chi_la(
     g: LabeledGraph, edge_budget: int = 10, prune: bool = True
 ) -> OracleResult:
@@ -58,30 +77,10 @@ def exhaustive_chi_la(
             f"graph has {q} edges, over the budget of {budget}; "
             f"the oracle enumerates q! bijections and refuses large inputs"
         )
-    verts = g.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    order = _edge_order(g)
-    eu = np.array([index[e[0]] for e in order], dtype=np.int64)
-    ev = np.array([index[e[1]] for e in order], dtype=np.int64)
-    n = len(verts)
-    degrees = np.zeros(n, dtype=np.int64)
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for a, b in order:
-        degrees[index[a]] += 1
-        degrees[index[b]] += 1
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    adj_off = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        adj_off[i + 1] = adj_off[i] + len(adj[i])
-    adj_flat = np.array(
-        [w for nbrs in adj for w in nbrs] or [0], dtype=np.int64
-    )
+    order, inputs = _kernel_inputs(g)
     if q == 0:
         return OracleResult(chi_la=None, witness=None, labelings_tried=0, valid_labelings=0)
-    best, best_labels, tried, valid = _kernels.search(
-        eu, ev, degrees, adj_off, adj_flat, q, n, prune
-    )
+    best, best_labels, tried, valid = _kernels.search(*inputs, prune)
     if best == 0:
         return OracleResult(
             chi_la=None, witness=None, labelings_tried=int(tried), valid_labelings=int(valid)

@@ -58,7 +58,8 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
     start = time.monotonic()
     failures: List[str] = []
     triple = color_triple(params)
-    g = build_family(params, stage=stage)
+    mat = build_matrix(params)
+    g = build_family(params, stage=stage, mat=mat)
     report = verify_local_antimagic(g)
     components, _, regular = graph_stats(g)
 
@@ -88,7 +89,7 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
         failures.append(f"chi lower bound {report.chi_lower} != 3")
     if report.chi_la_bracket != (3, 3):
         failures.append(f"chi_la bracket {report.chi_la_bracket} != (3, 3)")
-    u_sum, v_sum = matrix_column_sums(build_matrix(params))
+    u_sum, v_sum = matrix_column_sums(mat)
     if (u_sum, v_sum) != (triple.c_u, triple.c_v):
         failures.append(
             f"column sums ({u_sum}, {v_sum}) != closed forms "
@@ -120,10 +121,17 @@ def _worker(args: Tuple[FamilyParams, str]) -> CellResult:
 
 
 def worker_count() -> int:
+    """Sweep worker processes: ANTIMAGIC_THREADS if set, else the CPU count."""
     cap = os.environ.get("ANTIMAGIC_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
+    if not cap:
+        return os.cpu_count() or 1
+    try:
+        workers = int(cap)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ANTIMAGIC_THREADS must be a positive integer, got {cap!r}")
+    return workers
 
 
 def run_sweep(cells: List[Tuple[FamilyParams, str]]) -> SweepReport:

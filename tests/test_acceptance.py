@@ -18,14 +18,13 @@ from localantimagic import (
     build_matrix,
     cross_check,
     exhaustive_chi_la,
-    find_connecting_swaps,
     graph_stats,
     induced_colors,
+    iter_connecting_swaps,
     matrix_column_sums,
     path_p2,
     verify_local_antimagic,
 )
-from localantimagic.families import iter_connecting_swaps
 from localantimagic.formulas import center_constant
 from localantimagic.sweep import check_cell, grid_cells, run_sweep
 
@@ -143,7 +142,7 @@ def test_criterion_5_paper_merge_examples():
 
 def _paper_move(g, labels_a, labels_b):
     want = {tuple(sorted(labels_a)), tuple(sorted(labels_b))}
-    hits = [m for m in find_connecting_swaps(g) if set(m.label_pairs(g)) == want]
+    hits = [m for m in iter_connecting_swaps(g) if set(m.label_pairs(g)) == want]
     assert len(hits) == 1
     return hits[0]
 
@@ -235,7 +234,7 @@ def test_criterion_8_property_suites():
             merged = build_family(params, "merged")
             assert sorted(build_family(params, "crossed").labels.values()) == want
             assert sorted(merged.labels.values()) == want
-            move = find_connecting_swaps(merged)[0]
+            move = next(iter_connecting_swaps(merged))
             assert sorted(apply_swap(merged, move).labels.values()) == want
 
         # color preservation for every connecting swap over the merged grid

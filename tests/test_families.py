@@ -14,9 +14,9 @@ from localantimagic import (
     build_base_graph,
     build_family,
     build_matrix,
-    find_connecting_swaps,
     graph_stats,
     induced_colors,
+    iter_connecting_swaps,
     verify_local_antimagic,
 )
 from localantimagic.families import ConstructionError
@@ -138,7 +138,7 @@ def test_merged_color_is_sum_of_constituents(g45, g433):
 
 def paper_move(g, labels_a, labels_b):
     """Locate the move with the given label pairs in the move list."""
-    moves = find_connecting_swaps(g)
+    moves = list(iter_connecting_swaps(g))
     want = {tuple(sorted(labels_a)), tuple(sorted(labels_b))}
     hits = [m for m in moves if set(m.label_pairs(g)) == want]
     assert len(hits) == 1, f"expected exactly one move with labels {want}"
@@ -168,20 +168,20 @@ def test_paper_swap_g533(g533):
 
 
 def test_swap_preserves_bijection(g433):
-    move = find_connecting_swaps(g433)[0]
+    move = next(iter_connecting_swaps(g433))
     swapped = apply_swap(g433, move)
     assert sorted(swapped.labels.values()) == sorted(g433.labels.values())
 
 
 def test_degenerate_swap_rejected(g433):
-    move = find_connecting_swaps(g433)[0]
+    move = next(iter_connecting_swaps(g433))
     self_move = SwapMove(move.center_a, move.center_a, move.pair_a, move.pair_a)
     with pytest.raises(SwapError):
         apply_swap(g433, self_move)
 
 
 def test_unbalanced_swap_rejected(g433):
-    moves = find_connecting_swaps(g433)
+    moves = list(iter_connecting_swaps(g433))
     a, b = moves[0], moves[-1]
     mixed = SwapMove(a.center_a, b.center_b, a.pair_a, b.pair_b)
     sums_differ = sum(g433.labels[e] for e in a.pair_a) != sum(
@@ -197,13 +197,65 @@ def test_connected_graph_has_no_connecting_moves(g433):
     move = paper_move(g433, (13, 78), (81, 10))
     connected = apply_swap(g433, move)
     assert graph_stats(connected)[0] == 1
-    assert find_connecting_swaps(connected) == []
+    assert list(iter_connecting_swaps(connected)) == []
 
 
 def test_moves_are_lexicographically_ordered(g533):
-    moves = find_connecting_swaps(g533)
+    moves = list(iter_connecting_swaps(g533))
     keys = [(m.center_a, m.center_b, m.label_pairs(g533)) for m in moves]
     assert keys == sorted(keys)
+
+
+def reference_connecting_swaps(g):
+    """Every equal-sum pair of edge pairs between two part-3 centers of
+    equal degree in different components, sorted by (center_a, center_b,
+    labels_a, labels_b); components by union-find, pairs by brute force."""
+    root = {v: v for v in g.part}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in g.edges:
+        root[find(a)] = find(b)
+    inc = {v: [] for v in g.part}
+    for e in g.edges:
+        for v in e:
+            inc[v].append(e)
+    pairs = {}
+    for c in g.part:
+        by_label = sorted(inc[c], key=lambda e: g.labels[e])
+        pairs[c] = [(by_label[i], by_label[j]) for i in range(len(by_label))
+                    for j in range(i + 1, len(by_label))]
+    keyed = []
+    centers = sorted(v for v in g.part if g.part[v] == 3)
+    for ca in centers:
+        for cb in centers:
+            if not ca < cb or find(ca) == find(cb) or len(inc[ca]) != len(inc[cb]):
+                continue
+            for pa in pairs[ca]:
+                for pb in pairs[cb]:
+                    la = tuple(g.labels[e] for e in pa)
+                    lb = tuple(g.labels[e] for e in pb)
+                    if sum(la) == sum(lb):
+                        keyed.append(((ca, cb, la, lb), SwapMove(ca, cb, pa, pb)))
+    keyed.sort(key=lambda item: item[0])
+    return [move for _, move in keyed]
+
+
+@pytest.mark.parametrize(
+    "fam, n, r, s, swaps_first",
+    [(Family.M2, 1, 1, 1, 0), (Family.M3, 1, 1, 2, 0), (Family.M2, 2, 2, 1, 0),
+     (Family.M3, 1, 3, 1, 1)],
+)
+def test_connecting_swaps_match_slow_reference(fam, n, r, s, swaps_first):
+    k = ((2 * r + 1) * (2 * s + 1) - 1) // 2
+    g = build_family(FamilyParams(fam, n, k, (r, s)), "merged")
+    for _ in range(swaps_first):
+        g = apply_swap(g, next(iter_connecting_swaps(g)))
+    moves = list(iter_connecting_swaps(g))
+    assert moves and moves == reference_connecting_swaps(g)
 
 
 def test_swaps_via_build_family(g433):

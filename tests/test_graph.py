@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from localantimagic import (
@@ -157,10 +159,35 @@ def test_reports_deterministic(g55):
 
 
 def test_vertex_id_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no leaf index"):
         VertexId(Role.U, 1, 2)  # U carries no leaf index
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="copy_index"):
         VertexId(Role.X, 0, 1)
+    with pytest.raises(ValueError, match="leaf_index"):
+        VertexId(Role.X, 1, -1)
+    with pytest.raises(ValueError, match="no leaf index"):
+        VertexId(Role.U, 1)._replace(leaf_index=2)
+
+
+def test_vertex_id_orders_and_hashes_as_its_field_tuple():
+    vs = [
+        VertexId(role, c, 0 if role in (Role.U, Role.V) else j)
+        for role in (Role.MX, Role.U, Role.Y, Role.V, Role.X)
+        for c in (3, 1, 2)
+        for j in (2, 1)
+    ]
+    fields = [(v.role, v.copy_index, v.leaf_index) for v in vs]
+    assert [tuple(v) for v in sorted(vs)] == sorted(fields)
+    assert [hash(v) for v in vs] == [hash(f) for f in fields]
+    assert VertexId(2, 1, 2).role is Role.X  # an int role is coerced
+
+
+def test_vertex_id_str_parse_and_pickle_round_trip():
+    for v in (VertexId(Role.U, 3), VertexId(Role.MX, 5, 2)):
+        assert str(v) in ("u:3:0", "mx:5:2")
+        assert VertexId.parse(str(v)) == v
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and type(back) is VertexId and back.role is v.role
 
 
 def test_loop_rejected():

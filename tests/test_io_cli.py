@@ -9,8 +9,8 @@ from localantimagic import (
     FamilyParams,
     build_family,
     build_matrix,
-    find_connecting_swaps,
     graph_stats,
+    iter_connecting_swaps,
 )
 from localantimagic import io
 from localantimagic.cli import main
@@ -44,7 +44,7 @@ def test_graph_json_rejects_garbage():
         io.graph_from_json('{"format_version": 99, "vertices": [], "edges": []}')
 
 
-def test_graph6_drops_labels_keeps_structure(g433):
+def test_graph6_drops_labels_keeps_structure(g433, g45, g533):
     import networkx as nx
 
     line = io.graph_to_graph6(g433)
@@ -53,6 +53,15 @@ def test_graph6_drops_labels_keeps_structure(g433):
     assert G.number_of_edges() == g433.q
     sidecar = io.labels_sidecar(g433)
     assert len(sidecar.splitlines()) == g433.q
+    # networkx as an independent decoder and encoder of the same structure
+    for g in (g433, g45, g533):
+        line = io.graph_to_graph6(g)
+        G = nx.from_graph6_bytes(line.strip().encode("ascii"))
+        index = {v: i for i, v in enumerate(g.vertices())}
+        assert {frozenset(e) for e in G.edges} == {
+            frozenset((index[a], index[b])) for a, b in g.edges
+        }
+        assert line == nx.to_graph6_bytes(G, header=False).decode("ascii")
 
 
 def test_dot_output(g433):
@@ -62,7 +71,7 @@ def test_dot_output(g433):
 
 
 def test_swap_list_round_trip(g433):
-    moves = find_connecting_swaps(g433)[:5]
+    moves = list(iter_connecting_swaps(g433))[:5]
     text = io.swaps_to_json(moves, g433)
     assert io.swaps_from_json(text) == moves
 
@@ -146,6 +155,48 @@ def test_cli_verify_empty_file_exit_2(runner, tmp_path):
     empty.write_text("")
     result = runner.invoke(main, ["verify", str(empty)])
     assert result.exit_code == 2
+
+
+TRIANGLE = [("u:1:0", "v:1:0", 1), ("u:1:0", "x:1:1", 2), ("v:1:0", "x:1:1", 3)]
+
+
+def triangle_file(tmp_path, edges, vertices=("u:1:0", "v:1:0", "x:1:1")):
+    parts = {"u": 1, "v": 2, "x": 3}
+    data = {
+        "format_version": 1,
+        "vertices": [{"id": v, "part": parts[v[0]]} for v in vertices],
+        "edges": [{"u": a, "v": b, "label": lab} for a, b, lab in edges],
+    }
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edges, vertices, message",
+    [
+        (TRIANGLE + [("u:1:0", "v:1:0", 1)], None, "listed twice"),
+        (TRIANGLE + [("v:1:0", "u:1:0", 1)], None, "listed twice"),
+        (TRIANGLE, ("u:1:0", "v:1:0", "x:1:1", "u:1:0"), "listed twice"),
+        (TRIANGLE + [("u:1:0", "u:2:0", 4)], None, "outside vertex set"),
+    ],
+    ids=["edge-twice", "edge-twice-reversed", "vertex-twice", "dangling-edge"],
+)
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_cli_rejects_malformed_graph_exit_2(runner, tmp_path, command, edges, vertices, message):
+    path = triangle_file(tmp_path, edges, *([vertices] if vertices else []))
+    args = ["verify", str(path)] if command == "verify" else ["oracle", "--graph", str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("error:") and message in result.output
+
+
+def test_cli_verify_and_oracle_accept_the_triangle(runner, tmp_path):
+    path = triangle_file(tmp_path, TRIANGLE)
+    assert runner.invoke(main, ["verify", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["oracle", "--graph", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["chi_la"] == 3
 
 
 def test_cli_build_merged_graph6_with_sidecar(runner, tmp_path):
@@ -252,6 +303,23 @@ def test_cli_sweep_merged_grid(runner):
     data = json.loads(result.output)
     assert data["summary"]["fail"] == 0
     assert all(cell["components"] == cell["r"] + 1 for cell in data["grid"])
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
+def test_cli_sweep_bad_thread_count_exit_2(runner, threads):
+    result = runner.invoke(
+        main, ["sweep", "-n", "1..2", "-k", "1..2"], env={"ANTIMAGIC_THREADS": threads}
+    )
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ANTIMAGIC_THREADS")
+
+
+def test_cli_sweep_two_threads(runner):
+    result = runner.invoke(
+        main, ["sweep", "-n", "1..2", "-k", "1..2"], env={"ANTIMAGIC_THREADS": "2"}
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output)["summary"] == {"pass": 8, "fail": 0}
 
 
 def test_cli_sweep_empty_range_exit_2(runner):

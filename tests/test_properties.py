@@ -11,8 +11,8 @@ from localantimagic import (
     book_graph,
     build_family,
     cross_check,
-    find_connecting_swaps,
     induced_colors,
+    iter_connecting_swaps,
     path_p2,
 )
 
@@ -50,7 +50,7 @@ def test_label_multiset_preserved_through_pipeline():
 def test_every_swap_on_example_graphs_preserves_colors(fam):
     g = build_family(FamilyParams(fam, 2, 4, (1, 1)), "merged")
     before = induced_colors(g)
-    moves = find_connecting_swaps(g)
+    moves = list(iter_connecting_swaps(g))
     assert moves
     for move in moves:
         swapped = apply_swap(g, move)
