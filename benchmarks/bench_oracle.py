@@ -5,8 +5,8 @@ Usage:
     python3 benchmarks/bench_oracle.py [--repeat N]
 
 With numba installed (the `[jit]` extra) the JIT path is what
-`exhaustive_chi_la` uses; without it, or with ANTIMAGIC_NO_NUMBA=1, both
-columns run the interpreted fallback and the first is labelled so.  Both
+`exhaustive_chi_la` uses; without it both columns run the interpreted
+fallback and the first is labelled so.  Both
 run the identical function body (see localantimagic._kernels), so results
 must agree exactly.
 """
@@ -42,8 +42,8 @@ def main():
     args = parser.parse_args()
 
     if not USING_NUMBA:
-        print("warning: numba path disabled (ANTIMAGIC_NO_NUMBA set or numba "
-              "missing); the first column is the fallback too")
+        print("warning: numba is not installed; the first column is the "
+              "fallback too")
     # compile outside the timed region
     search(*_kernel_inputs(book_graph(1, 1))[1], True)
 

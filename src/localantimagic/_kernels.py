@@ -1,13 +1,11 @@
 """Hot search kernel for the exhaustive oracle.
 
 The DFS below is written against plain numpy arrays so the exact same
-function body runs either JIT-compiled through numba or as pure Python.
-Set ANTIMAGIC_NO_NUMBA=1 to force the interpreted fallback (used by the
-benchmark and as an escape hatch on platforms where numba misbehaves).
+function body runs either JIT-compiled through numba, when the optional
+`[jit]` extra is installed, or as pure Python.  `search_fallback` is always
+the interpreted body.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -95,13 +93,12 @@ def _search_impl(eu, ev, degrees, adj_off, adj_flat, q, n, prune):
 
 USING_NUMBA = False
 search = _search_impl
-if os.environ.get("ANTIMAGIC_NO_NUMBA", "") not in ("1", "true", "yes"):
-    try:
-        from numba import njit
+try:
+    from numba import njit
 
-        search = njit(cache=True)(_search_impl)
-        USING_NUMBA = True
-    except ImportError:
-        pass
+    search = njit(cache=True)(_search_impl)
+    USING_NUMBA = True
+except ImportError:
+    pass
 
 search_fallback = _search_impl

@@ -2,7 +2,6 @@
 the leaf-merge step, and label-preserving 2-swaps."""
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .graph import (
@@ -11,7 +10,6 @@ from .graph import (
     LabeledGraph,
     Role,
     VertexId,
-    components_of,
     edge,
 )
 from .matrices import Family, FamilyParams, LabelMatrix, ParamError, build_matrix
@@ -47,37 +45,31 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
 def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     """Exchange the v-to-leaf edges between copies i and 2k+2-i.
 
-    For i in [1,k] and each leaf j: drop v_i x_{i,j} and the mirror edge
-    v_{2k+2-i} x_{2k+2-i,j}, then reattach each v to the opposite copy's
-    leaf, keeping its own far label on the new edge at the same leaf.
-    Leaf x_{i,j} becomes y_{i,j}; leaf x_{2k+2-i,j} becomes z_{i,j}.
+    Each v-to-leaf edge v_i x_{i,j} with i != k+1 keeps its label and moves
+    to leaf j of copy 2k+2-i.  Leaves of copies i <= k become y_{i,j},
+    leaves of copies i >= k+2 become z_{2k+2-i,j}, and copy k+1 keeps x.
     """
-    if any(v.role in (Role.Y, Role.Z) for v in g.part):
+    if any(v.role not in (Role.U, Role.V, Role.X) for v in g.part):
         raise ConstructionError("crossing already applied")
     k = params.k
-    m = params.leaves_per_copy
-    rename: Dict[VertexId, VertexId] = {}
-    for i in range(1, k + 1):
-        for j in range(1, m + 1):
-            rename[VertexId(Role.X, i, j)] = VertexId(Role.Y, i, j)
-            rename[VertexId(Role.X, 2 * k + 2 - i, j)] = VertexId(Role.Z, i, j)
 
+    def leaf(i: int, j: int) -> VertexId:
+        if i <= k:
+            return VertexId(Role.Y, i, j)
+        if i >= k + 2:
+            return VertexId(Role.Z, 2 * k + 2 - i, j)
+        return VertexId(Role.X, i, j)
+
+    rename = {v: leaf(v.copy_index, v.leaf_index) for v in g.part if v.role is Role.X}
     labels: Dict[Edge, int] = {}
     for (a, b), lab in g.labels.items():
-        labels[edge(rename.get(a, a), rename.get(b, b))] = lab
+        if b.role is Role.X:
+            if a.role is Role.V and b.copy_index != k + 1:
+                # the mirror leaf, keyed by the field tuple its VertexId equals
+                b = (Role.X, 2 * k + 2 - b.copy_index, b.leaf_index)
+            b = rename[b]
+        labels[edge(a, b)] = lab
     part = {rename.get(v, v): c for v, c in g.part.items()}
-
-    for i in range(1, k + 1):
-        ii = 2 * k + 2 - i
-        v_i = VertexId(Role.V, i)
-        v_ii = VertexId(Role.V, ii)
-        for j in range(1, m + 1):
-            y = VertexId(Role.Y, i, j)  # was x_{i,j}
-            z = VertexId(Role.Z, i, j)  # was x_{2k+2-i,j}
-            lab_near = labels.pop(edge(v_i, y))
-            lab_far = labels.pop(edge(v_ii, z))
-            labels[edge(v_ii, y)] = lab_far
-            labels[edge(v_i, z)] = lab_near
     return LabeledGraph(part=part, edges=set(labels), labels=labels)
 
 
@@ -138,7 +130,7 @@ class SwapMove(NamedTuple):
     pair_a: Tuple[Edge, Edge]
     pair_b: Tuple[Edge, Edge]
 
-    def far_endpoints(self, g: LabeledGraph) -> Tuple[List[VertexId], List[VertexId]]:
+    def far_endpoints(self) -> Tuple[List[VertexId], List[VertexId]]:
         fa = [e[0] if e[1] == self.center_a else e[1] for e in self.pair_a]
         fb = [e[0] if e[1] == self.center_b else e[1] for e in self.pair_b]
         return fa, fb
@@ -173,7 +165,7 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> None:
     sum_b = sum(g.labels[e] for e in move.pair_b)
     if sum_a != sum_b:
         raise SwapError(f"pair sums differ: {sum_a} != {sum_b}")
-    fa, fb = move.far_endpoints(g)
+    fa, fb = move.far_endpoints()
     for w in fa:
         if g.part[w] == g.part[move.center_b]:
             raise SwapError(f"{w} shares a part with {move.center_b}")
@@ -200,7 +192,7 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> None:
 def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
     _validate_swap(g, move)
     labels = dict(g.labels)
-    fa, fb = move.far_endpoints(g)
+    fa, fb = move.far_endpoints()
     lab_a = [labels.pop(e) for e in move.pair_a]
     lab_b = [labels.pop(e) for e in move.pair_b]
     for w, lab in zip(fa, lab_a):
@@ -245,10 +237,11 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
     so equal pair sums are the only surviving constraint.
     """
     g.check_tripartite()
-    comp = components_of(g)
     buckets = swap_pair_buckets(g)
     centers = sorted(buckets)
-    degree = Counter(v for e in g.edges for v in e)
+    pos = {c: g.index.of[c] for c in centers}
+    comp = {c: g.index.component[i] for c, i in pos.items()}
+    degree = {c: len(g.index.adj[i]) for c, i in pos.items()}
     for ai, ca in enumerate(centers):
         by_sum_a = buckets[ca]
         for cb in centers[ai + 1 :]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 
@@ -53,6 +54,8 @@ class VertexId(_VertexFields):
 
     @classmethod
     def parse(cls, s: str) -> "VertexId":
+        if not isinstance(s, str):
+            raise ValueError(f"vertex id must be a string, got {s!r}")
         try:
             role, copy_index, leaf_index = s.split(":")
             return cls(Role[role.upper()], int(copy_index), int(leaf_index))
@@ -74,12 +77,23 @@ class GraphError(Exception):
     pass
 
 
+class GraphIndex(NamedTuple):
+    vertices: List[VertexId]  # sorted
+    of: Dict[VertexId, int]  # vertex -> position in `vertices`
+    adj: List[List[int]]  # neighbour positions, per position
+    component: List[int]  # per position, numbered by smallest contained vertex
+    components: int
+    bipartite: bool
+
+
 @dataclass
 class LabeledGraph:
     """Simple undirected graph with a 3-part class per vertex and
     (optionally) a positive integer label per edge.
 
     Treated as immutable after construction; transforms return new graphs.
+    `index` is built on first use and cached, so mutating `part` or
+    `edges` afterwards would leave it stale.
     """
 
     part: Dict[VertexId, int]
@@ -119,7 +133,37 @@ class LabeledGraph:
         return inc
 
     def degree(self, v: VertexId) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.index.adj[self.index.of[v]])
+
+    @cached_property
+    def index(self) -> GraphIndex:
+        """One BFS over one integer adjacency, started from each unvisited
+        vertex in sorted order: components and bipartiteness."""
+        verts = self.vertices()
+        of = {v: i for i, v in enumerate(verts)}
+        adj: List[List[int]] = [[] for _ in verts]
+        for a, b in self.edges:
+            ia, ib = of[a], of[b]
+            adj[ia].append(ib)
+            adj[ib].append(ia)
+        comp = [-1] * len(verts)
+        side = [0] * len(verts)
+        count, bipartite = 0, True
+        for start in range(len(verts)):
+            if comp[start] >= 0:
+                continue
+            comp[start] = count
+            queue = [start]
+            for v in queue:  # the list grows while it is read: a FIFO queue
+                for w in adj[v]:
+                    if comp[w] < 0:
+                        comp[w] = count
+                        side[w] = side[v] ^ 1
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        bipartite = False
+            count += 1
+        return GraphIndex(verts, of, adj, comp, count, bipartite)
 
     def check_tripartite(self) -> None:
         for a, b in self.edges:
@@ -187,50 +231,12 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
     )
 
 
-class _Traversal(NamedTuple):
-    vertices: List[VertexId]  # sorted
-    component: List[int]  # per vertex, numbered by smallest contained vertex
-    components: int
-    degrees: List[int]  # sorted
-    bipartite: bool
-
-
-def _traverse(g: LabeledGraph) -> _Traversal:
-    """One BFS over one integer adjacency, started from each unvisited
-    vertex in sorted order: components, degree sequence, bipartiteness."""
-    verts = g.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj: List[List[int]] = [[] for _ in verts]
-    for a, b in g.edges:
-        ia, ib = index[a], index[b]
-        adj[ia].append(ib)
-        adj[ib].append(ia)
-    comp = [-1] * len(verts)
-    side = [0] * len(verts)
-    count, bipartite = 0, True
-    for start in range(len(verts)):
-        if comp[start] >= 0:
-            continue
-        comp[start] = count
-        queue = [start]
-        for v in queue:  # the list grows while it is read: a FIFO queue
-            for w in adj[v]:
-                if comp[w] < 0:
-                    comp[w] = count
-                    side[w] = side[v] ^ 1
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    bipartite = False
-        count += 1
-    return _Traversal(verts, comp, count, sorted(map(len, adj)), bipartite)
-
-
 def chromatic_lower_bound(g: LabeledGraph) -> int:
     """Chromatic number within the {1,2,3} bracket: 1 if edgeless, 2 if
     bipartite with an edge, else 3 certified by the stored tripartition."""
     if not g.edges:
         return 1
-    if _traverse(g).bipartite:
+    if g.index.bipartite:
         return 2
     g.check_tripartite()
     return 3
@@ -240,12 +246,11 @@ def graph_stats(
     g: LabeledGraph,
 ) -> Tuple[int, List[int], Optional[int]]:
     """(component count, sorted degree sequence, regular degree or None)."""
-    t = _traverse(g)
-    regular = t.degrees[0] if t.degrees and t.degrees[0] == t.degrees[-1] else None
-    return t.components, t.degrees, regular
+    degrees = sorted(map(len, g.index.adj))
+    regular = degrees[0] if degrees and degrees[0] == degrees[-1] else None
+    return g.index.components, degrees, regular
 
 
 def components_of(g: LabeledGraph) -> Dict[VertexId, int]:
     """Component index per vertex, numbered by smallest contained vertex."""
-    t = _traverse(g)
-    return dict(zip(t.vertices, t.component))
+    return dict(zip(g.index.vertices, g.index.component))

@@ -10,8 +10,8 @@ import json
 from typing import Dict, List, Optional
 
 from .families import SwapMove
-from .graph import ColorReport, Edge, LabeledGraph, VertexId, edge
-from .matrices import Family, FamilyParams, LabelMatrix
+from .graph import ColorReport, Edge, GraphError, LabeledGraph, VertexId, edge
+from .matrices import FamilyParams, LabelMatrix
 
 FORMAT_VERSION = 1
 
@@ -42,13 +42,32 @@ def graph_to_json(g: LabeledGraph) -> str:
     )
 
 
-def graph_from_json(text: str) -> LabeledGraph:
+def _load(text: str):
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+
+
+def _int(item: Dict[str, object], key: str) -> int:
+    """item[key], which must be a JSON integer (not a float or a bool)."""
+    value = item[key]
+    if type(value) is not int:
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _two(item: object, what: str, parse):
+    """parse() of each element of item, which must be a list of two."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise ParseError(f"{what} must be a list of two, got {item!r}")
+    return parse(item[0]), parse(item[1])
+
+
+def graph_from_json(text: str) -> LabeledGraph:
+    data = _load(text)
     try:
-        if data["format_version"] != FORMAT_VERSION:
+        if _int(data, "format_version") != FORMAT_VERSION:
             raise ParseError(
                 f"unsupported format_version {data['format_version']}"
             )
@@ -57,7 +76,7 @@ def graph_from_json(text: str) -> LabeledGraph:
             v = VertexId.parse(item["id"])
             if v in part:
                 raise ParseError(f"vertex {v} listed twice")
-            part[v] = int(item["part"])
+            part[v] = _int(item, "part")
         edges = set()
         labels: Dict[Edge, int] = {}
         for item in data["edges"]:
@@ -66,9 +85,9 @@ def graph_from_json(text: str) -> LabeledGraph:
                 raise ParseError(f"edge ({e[0]}, {e[1]}) listed twice")
             edges.add(e)
             if "label" in item:
-                labels[e] = int(item["label"])
+                labels[e] = _int(item, "label")
         return LabeledGraph(part=part, edges=edges, labels=labels)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise ParseError(f"bad graph file: {exc}") from exc
 
 
@@ -91,9 +110,8 @@ def graph_to_graph6(g: LabeledGraph) -> str:
     """graph6 line for the unlabeled simple graph; vertices numbered in
     sorted structural order.  Labels are dropped (format limitation);
     pair with labels_sidecar() to keep them."""
-    verts = g.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    index = g.index.of
+    n = len(index)
     if n <= 62:
         size = [n]
     elif n <= 258047:
@@ -174,8 +192,8 @@ def _edge_json(e: Edge) -> List[str]:
     return [str(e[0]), str(e[1])]
 
 
-def _edge_parse(item: List[str]) -> Edge:
-    return edge(VertexId.parse(item[0]), VertexId.parse(item[1]))
+def _edge_parse(item: object) -> Edge:
+    return edge(*_two(item, "an edge", VertexId.parse))
 
 
 def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> str:
@@ -196,17 +214,18 @@ def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> st
 
 
 def swaps_from_json(text: str) -> List[SwapMove]:
+    data = _load(text)
     try:
         return [
             SwapMove(
                 center_a=VertexId.parse(item["center_a"]),
                 center_b=VertexId.parse(item["center_b"]),
-                pair_a=(_edge_parse(item["pair_a"][0]), _edge_parse(item["pair_a"][1])),
-                pair_b=(_edge_parse(item["pair_b"][0]), _edge_parse(item["pair_b"][1])),
+                pair_a=_two(item["pair_a"], "a swap pair", _edge_parse),
+                pair_b=_two(item["pair_b"], "a swap pair", _edge_parse),
             )
-            for item in json.loads(text)["moves"]
+            for item in data["moves"]
         ]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad swap list: {exc}") from exc
 
 
@@ -215,15 +234,3 @@ def swaps_from_json(text: str) -> List[SwapMove]:
 def params_to_json(p: FamilyParams) -> Dict[str, object]:
     r, s = p.factorization if p.factorization else (None, None)
     return {"family": p.family.value, "n": p.n, "k": p.k, "r": r, "s": s}
-
-
-def params_from_json(item: Dict[str, object]) -> FamilyParams:
-    fact = None
-    if item.get("r") is not None:
-        fact = (int(item["r"]), int(item["s"]))  # type: ignore[arg-type]
-    return FamilyParams(
-        family=Family(item["family"]),
-        n=int(item["n"]),  # type: ignore[arg-type]
-        k=int(item["k"]),  # type: ignore[arg-type]
-        factorization=fact,
-    )

@@ -46,20 +46,14 @@ def _edge_order(g: LabeledGraph) -> List[Edge]:
 def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
     """The search order of g's edges and the kernel's array arguments
     (eu, ev, degrees, adj_off, adj_flat, q, n) for that order."""
-    verts = g.vertices()
-    index = {v: i for i, v in enumerate(verts)}
+    of, adj = g.index.of, g.index.adj
     order = _edge_order(g)
-    eu = np.array([index[e[0]] for e in order], dtype=np.int64)
-    ev = np.array([index[e[1]] for e in order], dtype=np.int64)
-    n = len(verts)
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for a, b in zip(eu.tolist(), ev.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
+    eu = np.array([of[e[0]] for e in order], dtype=np.int64)
+    ev = np.array([of[e[1]] for e in order], dtype=np.int64)
     degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
     adj_off = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
     adj_flat = np.array([w for nbrs in adj for w in nbrs] or [0], dtype=np.int64)
-    return order, (eu, ev, degrees, adj_off, adj_flat, len(order), n)
+    return order, (eu, ev, degrees, adj_off, adj_flat, len(order), len(adj))
 
 
 def exhaustive_chi_la(
@@ -73,8 +67,9 @@ def exhaustive_chi_la(
     q = g.q
     budget = min(edge_budget, HARD_EDGE_LIMIT)
     if q > budget:
+        capped = f" (hard limit; {edge_budget} requested)" if edge_budget > budget else ""
         raise BudgetError(
-            f"graph has {q} edges, over the budget of {budget}; "
+            f"graph has {q} edges, over the budget of {budget}{capped}; "
             f"the oracle enumerates q! bijections and refuses large inputs"
         )
     order, inputs = _kernel_inputs(g)
@@ -158,7 +153,6 @@ def path_p2() -> LabeledGraph:
 
 
 PRESETS = {
-    "k3": lambda a=1, m=1: book_graph(1, 1),
     "book": book_graph,
     "p2": lambda a=1, m=0: path_p2(),
 }

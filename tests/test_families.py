@@ -74,9 +74,11 @@ def test_crossing_component_count():
             assert graph_stats(g)[0] == k + 1
 
 
-def test_crossing_twice_rejected(g45):
+def test_crossing_twice_rejected(g45, g433):
     with pytest.raises(ConstructionError, match="already applied"):
         apply_crossing(g45, FamilyParams(Family.M2, 2, 4))
+    with pytest.raises(ConstructionError, match="already applied"):
+        apply_crossing(g433, FamilyParams(Family.M2, 2, 4, (1, 1)))
 
 
 def test_crossing_preserves_labels_and_uv_colors():

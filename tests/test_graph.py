@@ -1,18 +1,29 @@
 import pickle
+from functools import cached_property
 
+import numpy as np
 import pytest
 
 from localantimagic import (
+    Family,
+    FamilyParams,
     GraphError,
     LabeledGraph,
     Role,
     VertexId,
+    book_graph,
+    build_family,
     chromatic_lower_bound,
     edge,
     graph_stats,
     induced_colors,
+    io,
+    iter_connecting_swaps,
     verify_local_antimagic,
 )
+from localantimagic.graph import components_of
+from localantimagic.oracle import _kernel_inputs
+from localantimagic.sweep import check_cell
 
 
 def triangle(labels=(1, 2, 3)):
@@ -194,3 +205,69 @@ def test_loop_rejected():
     u = VertexId(Role.U, 1)
     with pytest.raises(ValueError):
         edge(u, u)
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """ids of the graphs whose index (the one BFS) is built while active."""
+    runs = []
+    build = LabeledGraph.__dict__["index"].func
+
+    def counting(g):
+        runs.append(id(g))
+        return build(g)
+
+    prop = cached_property(counting)
+    prop.__set_name__(LabeledGraph, "index")
+    monkeypatch.setattr(LabeledGraph, "index", prop)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "params, stage",
+    [
+        (FamilyParams(Family.M2, 2, 4), "crossed"),
+        (FamilyParams(Family.M3, 2, 4, (1, 1)), "merged"),
+    ],
+)
+def test_check_cell_runs_one_bfs(bfs_runs, params, stage):
+    assert check_cell(params, stage).verified
+    assert len(bfs_runs) == 1
+
+
+def test_index_is_built_once_per_graph(bfs_runs, g45):
+    g = LabeledGraph(part=dict(g45.part), edges=set(g45.edges), labels=dict(g45.labels))
+    verify_local_antimagic(g)
+    graph_stats(g)
+    components_of(g)
+    assert list(iter_connecting_swaps(g))
+    io.graph_to_graph6(g)
+    assert bfs_runs == [id(g)]
+
+
+INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
+    build_family(FamilyParams(fam, n, k, rs), "merged")
+    for fam, n, k, rs in (
+        (Family.M2, 1, 4, (1, 1)),
+        (Family.M3, 2, 4, (1, 1)),
+        (Family.M2, 2, 7, (1, 2)),
+    )
+]
+
+
+@pytest.mark.parametrize("g", INDEXED)
+def test_index_degrees_match_incident_edges_and_kernel_csr(g):
+    inc = g.incident()
+    assert {v: g.degree(v) for v in g.part} == {v: len(es) for v, es in inc.items()}
+    order, (eu, ev, degrees, adj_off, adj_flat, q, n) = _kernel_inputs(g)
+    verts = g.vertices()
+    assert n == len(verts) and q == g.q == len(order)
+    assert degrees.tolist() == [g.degree(v) for v in verts]
+    assert adj_off.tolist() == [0, *np.cumsum(degrees).tolist()]
+    rows = [set(adj_flat[adj_off[i] : adj_off[i + 1]].tolist()) for i in range(n)]
+    assert [len(r) for r in rows] == degrees.tolist()  # no repeated neighbour
+    assert all(i in rows[j] for i in range(n) for j in rows[i])  # symmetric
+    assert sorted(zip(eu.tolist(), ev.tolist())) == sorted(
+        (i, j) for i in range(n) for j in rows[i] if i < j
+    )
+    assert [(verts[a], verts[b]) for a, b in zip(eu.tolist(), ev.tolist())] == order

@@ -44,6 +44,12 @@ def test_graph_json_rejects_garbage():
         io.graph_from_json('{"format_version": 99, "vertices": [], "edges": []}')
 
 
+@pytest.mark.parametrize("parse", [io.graph_from_json, io.swaps_from_json])
+def test_parsers_reject_json_nested_too_deep(parse):
+    with pytest.raises(io.ParseError, match="not valid JSON"):
+        parse("[" * 100000)
+
+
 def test_graph6_drops_labels_keeps_structure(g433, g45, g533):
     import networkx as nx
 
@@ -199,6 +205,66 @@ def test_cli_verify_and_oracle_accept_the_triangle(runner, tmp_path):
     assert json.loads(result.output)["chi_la"] == 3
 
 
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("vertices", "id", 5, "must be a string"),
+        ("vertices", "part", 1.0, "must be an integer"),
+        ("vertices", "part", True, "must be an integer"),
+        ("edges", "u", ["u:1:0"], "must be a string"),
+        ("edges", "label", 1.9, "must be an integer"),
+        ("edges", "label", True, "must be an integer"),
+        ("edges", "label", "1", "must be an integer"),
+    ],
+    ids=["id-int", "part-float", "part-bool", "endpoint-list", "label-float",
+         "label-bool", "label-str"],
+)
+def test_cli_verify_rejects_non_integer_or_non_string_fields_exit_2(
+    runner, tmp_path, section, field, value, message
+):
+    path = triangle_file(tmp_path, TRIANGLE)
+    data = json.loads(path.read_text())
+    data[section][0][field] = value
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error:") and message in result.output
+
+
+def _first_move_file(runner, tmp_path, change):
+    """The first connecting move of G_4(3,3) in a swap file, after change(move)."""
+    result = runner.invoke(
+        main,
+        ["swaps", "--family", "m2", "-n", "2", "-k", "4", "-r", "1", "-s", "1"],
+    )
+    data = json.loads(result.output)
+    data["moves"] = data["moves"][:1]
+    change(data["moves"][0])
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda mv: mv.update(center_a=5), "must be a string"),
+        (lambda mv: mv["pair_a"].append(mv["pair_b"][0]), "list of two"),
+        (lambda mv: mv["pair_b"][0].append("u:1:0"), "list of two"),
+    ],
+    ids=["center-int", "three-edge-pair", "three-endpoint-edge"],
+)
+def test_cli_build_rejects_malformed_swap_file_exit_2(runner, tmp_path, change, message):
+    path = _first_move_file(runner, tmp_path, change)
+    result = runner.invoke(
+        main,
+        ["build", "--family", "m2", "-n", "2", "-k", "4", "--stage", "merged",
+         "-r", "1", "-s", "1", "--swaps", str(path)],
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_cli_build_merged_graph6_with_sidecar(runner, tmp_path):
     out = tmp_path / "g533.g6"
     result = runner.invoke(
@@ -269,9 +335,12 @@ def test_cli_bad_swap_file_names_move_index(runner, tmp_path):
 
 
 def test_cli_oracle_presets(runner):
-    result = runner.invoke(main, ["oracle", "--preset", "k3"])
+    result = runner.invoke(main, ["oracle", "--preset", "book"])
     assert result.exit_code == 0
     assert json.loads(result.output)["chi_la"] == 3
+
+    result = runner.invoke(main, ["oracle", "--preset", "k3"])
+    assert result.exit_code == 2
 
     result = runner.invoke(main, ["oracle", "--preset", "book", "-a", "2", "-m", "1"])
     assert json.loads(result.output)["chi_la"] == 3
@@ -284,6 +353,22 @@ def test_cli_oracle_presets(runner):
 def test_cli_oracle_over_budget_exit_2(runner):
     result = runner.invoke(main, ["oracle", "--preset", "book", "-a", "3", "-m", "2"])
     assert result.exit_code == 2
+
+
+def test_cli_oracle_names_a_capped_budget(runner):
+    book23 = ["oracle", "--preset", "book", "-a", "2", "-m", "3"]  # 14 edges
+    result = runner.invoke(main, [*book23, "--budget", "20"])
+    assert result.exit_code == 2
+    assert "over the budget of 12 (hard limit; 20 requested)" in result.output
+
+    result = runner.invoke(main, [*book23, "--budget", "11"])
+    assert result.exit_code == 2
+    assert "over the budget of 11" in result.output
+    assert "hard limit" not in result.output
+
+    result = runner.invoke(main, ["oracle", "--preset", "book", "-a", "2", "--budget", "20"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["chi_la"] == 3
 
 
 def test_cli_sweep_small(runner, tmp_path):
