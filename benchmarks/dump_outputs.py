@@ -5,9 +5,10 @@ Usage:
     PYTHONPATH=src python3 benchmarks/dump_outputs.py OUTDIR
 
 Then compare the directories written from two checkouts with `diff -r`.
-Covers `matrix` CSV, `build` in json/dot/graph6 (+ labels sidecar),
-`verify` certificates, `swaps` JSON, `build --swaps` and `sweep` JSON with
-the `runtime_ms` timing field removed.
+Covers `matrix` CSV and JSON, `build` in json/dot/graph6 (+ labels
+sidecar), `verify` certificates, `swaps` JSON, `build --swaps`, `oracle`
+JSON on small presets and `sweep` JSON with the `runtime_ms` timing field
+removed.
 """
 import json
 import sys
@@ -45,6 +46,7 @@ def main(out: Path) -> None:
     for fam, n, k in CROSSED:
         fnk = ["--family", fam, "-n", n, "-k", k]
         (out / f"{fam}-n{n}-k{k}.csv").write_text(run(["matrix", *fnk]))
+        run(["matrix", *fnk, "--format", "json", "--out", out / f"{fam}-n{n}-k{k}.matrix.json"])
         for stage in ("base", "crossed"):
             dump_graph(out, f"{fam}-n{n}-k{k}-{stage}", ["build", *fnk, "--stage", stage])
         run(["swaps", *fnk, "--stage", "crossed", "--out", out / f"{fam}-n{n}-k{k}.swaps.json"])
@@ -61,6 +63,9 @@ def main(out: Path) -> None:
         dump_graph(
             out, f"{name}-swapped", ["build", *args, "--stage", "merged", "--swaps", first]
         )
+    for preset, a, m in (("book", 1, 1), ("book", 1, 2), ("book", 2, 1), ("p2", 1, 1)):
+        name = f"oracle-{preset}-a{a}-m{m}.json"
+        run(["oracle", "--preset", preset, "-a", a, "-m", m, "--out", out / name])
     for name, args in (
         ("crossed", ["-n", "1..3", "-k", "1..4"]),
         ("merged", ["-n", "1..3", "--rs", "1..2"]),

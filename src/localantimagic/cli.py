@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
+Exit codes: 0 success, 1 verification failure or rejected swap, 2 bad
+input (parameters, files, paths), always with an `error:` line on stderr.
 """
 from __future__ import annotations
 
+import json
 import sys
 from typing import List, Optional
 
@@ -13,8 +15,16 @@ from . import io
 from .families import SwapError, build_family, iter_connecting_swaps
 from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
-from .oracle import PRESETS, exhaustive_chi_la
-from .sweep import grid_cells, report_to_json, run_sweep, worker_count
+from .oracle import PRESETS, BudgetError, exhaustive_chi_la
+from .sweep import grid_cells, report_to_json, run_sweep
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise io.ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -25,16 +35,16 @@ def _write(text: str, out: Optional[str]) -> None:
         click.echo(text, nl=False)
 
 
-def _params(family: str, n: int, k: int, r: Optional[int], s: Optional[int]) -> FamilyParams:
-    fact = None
-    if r is not None or s is not None:
-        if r is None or s is None:
-            raise ParamError("-r and -s must be given together")
-        fact = (r, s)
-    try:
-        return FamilyParams(Family(family), n, k, fact)
-    except ValueError as exc:
-        raise ParamError(str(exc)) from exc
+def _params(
+    family: str, n: int, k: int, r: Optional[int] = None, s: Optional[int] = None,
+    stage: str = "crossed",
+) -> FamilyParams:
+    if (r is None) != (s is None):
+        raise ParamError("-r and -s must be given together")
+    params = FamilyParams(Family(family), n, k, None if r is None else (r, s))
+    if stage == "merged" and params.factorization is None:
+        raise ParamError("--stage merged requires -r and -s")
+    return params
 
 
 def _parse_range(text: str) -> List[int]:
@@ -45,13 +55,28 @@ def _parse_range(text: str) -> List[int]:
         else:
             values = [int(text)]
     except ValueError as exc:
-        raise click.UsageError(f"bad range {text!r}") from exc
+        raise ParamError(f"bad range {text!r}") from exc
     if not values:
-        raise click.UsageError(f"empty range {text!r}")
+        raise ParamError(f"empty range {text!r}")
     return values
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: bad input exits 2, a rejected swap exits 1,
+    each with an `error:` line; anything else is a bug and raises."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ParamError, io.ParseError, BudgetError, GraphError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except SwapError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Construct, label, and verify the tripartite graph families."""
 
@@ -73,10 +98,7 @@ def _family_options(fn):
 @click.option("--out", type=click.Path(), default=None)
 def matrix(family: str, n: int, k: int, fmt: str, out: Optional[str]) -> None:
     """Emit the edge-label matrix for a family."""
-    try:
-        mat = build_matrix(_params(family, n, k, None, None))
-    except ParamError as exc:
-        raise click.UsageError(str(exc))
+    mat = build_matrix(_params(family, n, k))
     text = io.matrix_to_csv(mat) if fmt == "csv" else io.matrix_to_json(mat)
     _write(text, out)
 
@@ -89,7 +111,7 @@ def matrix(family: str, n: int, k: int, fmt: str, out: Optional[str]) -> None:
 @click.option(
     "--format", "fmt", type=click.Choice(["json", "dot", "graph6"]), default="json"
 )
-@click.option("--swaps", "swaps_file", type=click.Path(exists=True), default=None)
+@click.option("--swaps", "swaps_file", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def build(
     family: str,
@@ -103,20 +125,9 @@ def build(
     out: Optional[str],
 ) -> None:
     """Build a family graph, optionally applying a swap-move file."""
-    try:
-        params = _params(family, n, k, r, s)
-        if stage == "merged" and params.factorization is None:
-            raise ParamError("--stage merged requires -r and -s")
-        moves = None
-        if swaps_file:
-            with open(swaps_file) as fh:
-                moves = io.swaps_from_json(fh.read())
-        g = build_family(params, stage=stage, swaps=moves)
-    except (ParamError, io.ParseError) as exc:
-        raise click.UsageError(str(exc))
-    except SwapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    params = _params(family, n, k, r, s, stage)
+    moves = io.swaps_from_json(_read(swaps_file)) if swaps_file else None
+    g = build_family(params, stage=stage, swaps=moves)
     if fmt == "json":
         _write(io.graph_to_json(g), out)
     elif fmt == "dot":
@@ -132,13 +143,8 @@ def build(
 @click.option("--out", type=click.Path(), default=None)
 def verify(graph_file: str, out: Optional[str]) -> None:
     """Verify a JSON graph file; exit 0 iff it is local antimagic."""
-    try:
-        with open(graph_file) as fh:
-            g = io.graph_from_json(fh.read())
-        report = verify_local_antimagic(g)
-    except (OSError, io.ParseError, GraphError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    g = io.graph_from_json(_read(graph_file))
+    report = verify_local_antimagic(g)
     _write(io.certificate_to_json(g, report), out)
     sys.exit(0 if report.is_local_antimagic else 1)
 
@@ -163,11 +169,6 @@ def sweep(
     out: Optional[str],
 ) -> None:
     """Verify every family instance over a parameter grid."""
-    try:
-        worker_count()
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     fams = [Family(f) for f in families]
     cells = grid_cells(
         fams,
@@ -188,7 +189,7 @@ def sweep(
 @click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None)
 @click.option("-a", "a", type=int, default=1, help="number of P_2 copies")
 @click.option("-m", "m", type=int, default=1, help="number of joined leaves")
-@click.option("--graph", "graph_file", type=click.Path(exists=True), default=None)
+@click.option("--graph", "graph_file", type=click.Path(), default=None)
 @click.option("--budget", type=int, default=10, show_default=True)
 @click.option("--no-prune", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), default=None)
@@ -202,20 +203,13 @@ def oracle(
     out: Optional[str],
 ) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
-    import json as _json
-
-    try:
-        if graph_file:
-            with open(graph_file) as fh:
-                g = io.graph_from_json(fh.read())
-        elif preset:
-            g = PRESETS[preset](a, m)
-        else:
-            raise click.UsageError("need --preset or --graph")
-        result = exhaustive_chi_la(g, edge_budget=budget, prune=not no_prune)
-    except (io.ParseError, ValueError, GraphError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    if graph_file:
+        g = io.graph_from_json(_read(graph_file))
+    elif preset:
+        g = PRESETS[preset](a, m)
+    else:
+        raise ParamError("need --preset or --graph")
+    result = exhaustive_chi_la(g, edge_budget=budget, prune=not no_prune)
     payload = {
         "format_version": io.FORMAT_VERSION,
         "chi_la": result.chi_la,
@@ -227,7 +221,7 @@ def oracle(
         "labelings_tried": result.labelings_tried,
         "valid_labelings": result.valid_labelings,
     }
-    _write(_json.dumps(payload, indent=2) + "\n", out)
+    _write(json.dumps(payload, indent=2) + "\n", out)
     if result.chi_la is None:
         click.echo("no local antimagic labeling", err=True)
 
@@ -248,13 +242,7 @@ def swaps(
     out: Optional[str],
 ) -> None:
     """List component-reducing swap moves for a family graph."""
-    try:
-        params = _params(family, n, k, r, s)
-        if stage == "merged" and params.factorization is None:
-            raise ParamError("--stage merged requires -r and -s")
-        g = build_family(params, stage=stage)
-    except ParamError as exc:
-        raise click.UsageError(str(exc))
+    g = build_family(_params(family, n, k, r, s, stage), stage=stage)
     moves = list(iter_connecting_swaps(g))
     _write(io.swaps_to_json(moves, g), out)
 

@@ -33,12 +33,12 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
         v = VertexId(Role.V, i)
         part[u] = 1
         part[v] = 2
-        labels[edge(u, v)] = mat.cell[(("uv", 0), i)]
+        labels[edge(u, v)] = mat.uv[i - 1]
         for j in range(1, m + 1):
             x = VertexId(Role.X, i, j)
             part[x] = 3
-            labels[edge(u, x)] = mat.cell[(("ux", j), i)]
-            labels[edge(v, x)] = mat.cell[(("vx", j), i)]
+            labels[edge(u, x)] = mat.ux[j - 1][i - 1]
+            labels[edge(v, x)] = mat.vx[j - 1][i - 1]
     return LabeledGraph(part=part, edges=set(labels), labels=labels)
 
 
@@ -74,29 +74,26 @@ def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
 
 
 def _merge_groups(params: FamilyParams) -> Dict[VertexId, VertexId]:
-    """Old vertex -> merged vertex for every leaf, per column j."""
+    """Old vertex -> merged vertex for every leaf, per column j.
+
+    Copies b <= k fall in blocks of 2s+1 starting at lo; the first r blocks
+    merge into MY/MZ(lo), and the last block, which straddles copy k+1,
+    merges with x_{k+1} into MX(k+1).
+    """
     r, s = params.factorization  # type: ignore[misc]
     k = params.k
-    m = params.leaves_per_copy
     block = 2 * s + 1
     target: Dict[VertexId, VertexId] = {}
-    for j in range(1, m + 1):
-        for a in range(1, r + 1):
-            lo = (a - 1) * block + 1
-            my = VertexId(Role.MY, lo, j)
-            mz = VertexId(Role.MZ, lo, j)
-            for b in range(lo, lo + block):
-                target[VertexId(Role.Y, b, j)] = my
-                target[VertexId(Role.Z, b, j)] = mz
-        # middle group: the block of original leaf columns straddling k+1
-        mx = VertexId(Role.MX, k + 1, j)
-        for i in range(r * block + 1, (r + 1) * block + 1):
-            if i <= k:
-                target[VertexId(Role.Y, i, j)] = mx
-            elif i == k + 1:
-                target[VertexId(Role.X, k + 1, j)] = mx
-            else:
-                target[VertexId(Role.Z, 2 * k + 2 - i, j)] = mx
+    for j in range(1, params.leaves_per_copy + 1):
+        mx = target[VertexId(Role.X, k + 1, j)] = VertexId(Role.MX, k + 1, j)
+        for b in range(1, k + 1):
+            lo = (b - 1) // block * block + 1
+            if b == lo:  # a new block: name its merged leaves once
+                middle = lo > r * block
+                my = mx if middle else VertexId(Role.MY, lo, j)
+                mz = mx if middle else VertexId(Role.MZ, lo, j)
+            target[VertexId(Role.Y, b, j)] = my
+            target[VertexId(Role.Z, b, j)] = mz
     return target
 
 

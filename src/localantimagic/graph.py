@@ -1,6 +1,7 @@
 """Graph data model, induced colors, and the local antimagic verifier."""
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -25,6 +26,11 @@ class _VertexFields(NamedTuple):
     role: Role
     copy_index: int
     leaf_index: int = 0
+
+
+# the form VertexId.__str__ prints; int() and Role[] alone would also take a
+# sign, "_", spaces, leading zeros, upper case and non-ASCII digits
+_CANONICAL_ID = re.compile(r"([a-z]+):([1-9][0-9]*):(0|[1-9][0-9]*)")
 
 
 class VertexId(_VertexFields):
@@ -56,8 +62,11 @@ class VertexId(_VertexFields):
     def parse(cls, s: str) -> "VertexId":
         if not isinstance(s, str):
             raise ValueError(f"vertex id must be a string, got {s!r}")
+        match = _CANONICAL_ID.fullmatch(s)
+        if match is None:
+            raise ValueError(f"bad vertex id {s!r}")
+        role, copy_index, leaf_index = match.groups()
         try:
-            role, copy_index, leaf_index = s.split(":")
             return cls(Role[role.upper()], int(copy_index), int(leaf_index))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"bad vertex id {s!r}") from exc

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 
 from .families import SwapMove
 from .graph import ColorReport, Edge, GraphError, LabeledGraph, VertexId, edge
-from .matrices import FamilyParams, LabelMatrix
+from .matrices import FamilyParams, LabelMatrix, row_names
 
 FORMAT_VERSION = 1
 
@@ -64,13 +64,15 @@ def _two(item: object, what: str, parse):
     return parse(item[0]), parse(item[1])
 
 
+def _check_version(data: Dict[str, object]) -> None:
+    if _int(data, "format_version") != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {data['format_version']}")
+
+
 def graph_from_json(text: str) -> LabeledGraph:
     data = _load(text)
     try:
-        if _int(data, "format_version") != FORMAT_VERSION:
-            raise ParseError(
-                f"unsupported format_version {data['format_version']}"
-            )
+        _check_version(data)
         part: Dict[VertexId, int] = {}
         for item in data["vertices"]:
             v = VertexId.parse(item["id"])
@@ -142,17 +144,14 @@ def labels_sidecar(g: LabeledGraph) -> str:
 # -------------------------------------------------------------- matrices
 
 def matrix_to_csv(mat: LabelMatrix) -> str:
-    lines = [
-        ",".join(str(v) for v in mat.row_values(role)) for role in mat.rows
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in mat.rows)
 
 
 def matrix_to_json(mat: LabelMatrix) -> str:
     p = mat.params
     rows = [
-        {"role": role[0], "leaf": role[1], "values": mat.row_values(role)}
-        for role in mat.rows
+        {"role": role, "leaf": leaf, "values": values}
+        for (role, leaf), values in zip(row_names(p), mat.rows)
     ]
     return _dumps(
         {
@@ -216,6 +215,7 @@ def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> st
 def swaps_from_json(text: str) -> List[SwapMove]:
     data = _load(text)
     try:
+        _check_version(data)
         return [
             SwapMove(
                 center_a=VertexId.parse(item["center_a"]),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class Family(Enum):
@@ -60,31 +60,30 @@ class FamilyParams:
         return self.rows * self.copies
 
 
-# RowRole: ("ux", j) for the u-side leaf-j row, ("uv", 0) for the partner
-# row, ("vx", j) for the v-side leaf-j row.
-RowRole = Tuple[str, int]
-
-
 @dataclass(frozen=True)
 class LabelMatrix:
+    """The label matrix as rows of plain ints: `ux[j-1]` is the u-side
+    leaf-j row, `uv` the partner row, `vx[j-1]` the v-side leaf-j row, and
+    entry i-1 of every row is copy i."""
+
     params: FamilyParams
-    rows: Tuple[RowRole, ...]
-    cell: Dict[Tuple[RowRole, int], int]
+    ux: List[List[int]]
+    uv: List[int]
+    vx: List[List[int]]
 
-    def row_values(self, role: RowRole) -> List[int]:
-        return [self.cell[(role, i)] for i in range(1, self.params.copies + 1)]
-
-
-def row_order(params: FamilyParams) -> List[RowRole]:
-    m = params.leaves_per_copy
-    return (
-        [("ux", j) for j in range(1, m + 1)]
-        + [("uv", 0)]
-        + [("vx", j) for j in range(1, m + 1)]
-    )
+    @property
+    def rows(self) -> List[List[int]]:
+        """All rows in print order: ux 1..m, uv, vx 1..m."""
+        return [*self.ux, self.uv, *self.vx]
 
 
-def _cell_m2(n: int, k: int, role: RowRole, i: int) -> int:
+def row_names(params: FamilyParams) -> List[Tuple[str, int]]:
+    """(role, leaf) of each row of `LabelMatrix.rows`, in the same order."""
+    leaves = range(1, params.leaves_per_copy + 1)
+    return [("ux", j) for j in leaves] + [("uv", 0)] + [("vx", j) for j in leaves]
+
+
+def _cell_m2(n: int, k: int, role: Tuple[str, int], i: int) -> int:
     kind, j = role
     m = n * (8 * k + 4)
     if kind == "uv":
@@ -109,7 +108,7 @@ def _cell_m2(n: int, k: int, role: RowRole, i: int) -> int:
     return t - k + 1 - i if i <= k + 1 else t + k + 2 - i
 
 
-def _cell_m3(n: int, k: int, role: RowRole, i: int) -> int:
+def _cell_m3(n: int, k: int, role: Tuple[str, int], i: int) -> int:
     kind, j = role
     if kind == "uv":
         return i
@@ -129,44 +128,25 @@ def _cell_m3(n: int, k: int, role: RowRole, i: int) -> int:
     return t + 8 * k + 5 - i
 
 
-def matrix_cell(params: FamilyParams, role: RowRole, i: int) -> int:
-    if not 1 <= i <= params.copies:
-        raise ParamError(f"column {i} outside [1, {params.copies}]")
-    if params.family is Family.M2:
-        return _cell_m2(params.n, params.k, role, i)
-    return _cell_m3(params.n, params.k, role, i)
-
-
 def build_matrix(params: FamilyParams) -> LabelMatrix:
-    rows = tuple(row_order(params))
-    cell = {
-        (role, i): matrix_cell(params, role, i)
-        for role in rows
-        for i in range(1, params.copies + 1)
-    }
-    values = sorted(cell.values())
-    if values != list(range(1, params.q + 1)):
+    cell = _cell_m2 if params.family is Family.M2 else _cell_m3
+    n, k, m = params.n, params.k, params.leaves_per_copy
+    rows = [
+        [cell(n, k, name, i) for i in range(1, params.copies + 1)]
+        for name in row_names(params)
+    ]
+    if sorted(v for row in rows for v in row) != list(range(1, params.q + 1)):
         raise AssertionError(
             f"matrix cells are not a bijection onto [1, {params.q}] "
             f"for {params}"
         )
-    return LabelMatrix(params=params, rows=rows, cell=cell)
+    return LabelMatrix(params=params, ux=rows[:m], uv=rows[m], vx=rows[m + 1 :])
 
 
 def matrix_column_sums(mat: LabelMatrix) -> Tuple[int, int]:
     """(u-block column sum, v-block column sum); constant across columns."""
-    p = mat.params
-    u_sums = set()
-    v_sums = set()
-    for i in range(1, p.copies + 1):
-        u = sum(
-            mat.cell[(role, i)] for role in mat.rows if role[0] in ("ux", "uv")
-        )
-        v = sum(
-            mat.cell[(role, i)] for role in mat.rows if role[0] in ("vx", "uv")
-        )
-        u_sums.add(u)
-        v_sums.add(v)
+    u_sums = {sum(col) for col in zip(mat.uv, *mat.ux)}
+    v_sums = {sum(col) for col in zip(mat.uv, *mat.vx)}
     if len(u_sums) != 1 or len(v_sums) != 1:
-        raise AssertionError(f"column sums not constant for {p}")
+        raise AssertionError(f"column sums not constant for {mat.params}")
     return u_sums.pop(), v_sums.pop()

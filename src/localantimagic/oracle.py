@@ -17,6 +17,7 @@ from .graph import (
     edge,
     verify_local_antimagic,
 )
+from .matrices import ParamError
 
 HARD_EDGE_LIMIT = 12
 
@@ -128,7 +129,7 @@ def book_graph(a: int, m: int) -> LabeledGraph:
     """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
     leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
     if a < 1 or m < 0:
-        raise ValueError(f"need a >= 1, m >= 0, got a={a}, m={m}")
+        raise ParamError(f"need a >= 1, m >= 0, got a={a}, m={m}")
     part: Dict[VertexId, int] = {}
     edges = set()
     for i in range(1, a + 1):

@@ -15,6 +15,7 @@ from .graph import Role, graph_stats, verify_local_antimagic
 from .matrices import (
     Family,
     FamilyParams,
+    ParamError,
     build_matrix,
     matrix_column_sums,
 )
@@ -130,7 +131,7 @@ def worker_count() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"ANTIMAGIC_THREADS must be a positive integer, got {cap!r}")
+        raise ParamError(f"ANTIMAGIC_THREADS must be a positive integer, got {cap!r}")
     return workers
 
 

@@ -193,6 +193,15 @@ def test_vertex_id_orders_and_hashes_as_its_field_tuple():
     assert VertexId(2, 1, 2).role is Role.X  # an int role is coerced
 
 
+@pytest.mark.parametrize(
+    "text", ["u:1_0:0", "u: 2:0", "x:01:1", "x:+1:1", "X:1:1", "x:1:\u0661"]
+)
+def test_vertex_id_parse_rejects_non_canonical_ids(text):
+    # int() and Role[name.upper()] would read each of these as another id
+    with pytest.raises(ValueError, match="bad vertex id"):
+        VertexId.parse(text)
+
+
 def test_vertex_id_str_parse_and_pickle_round_trip():
     for v in (VertexId(Role.U, 3), VertexId(Role.MX, 5, 2)):
         assert str(v) in ("u:3:0", "mx:5:2")

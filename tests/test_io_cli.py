@@ -121,6 +121,19 @@ def test_cli_matrix_json(runner):
     data = json.loads(result.output)
     assert data["rows"][0] == {"role": "ux", "leaf": 1, "values": [15, 13, 14]}
 
+    result = runner.invoke(
+        main, ["matrix", "--family", "m3", "-n", "2", "-k", "4", "--format", "json"]
+    )
+    data = json.loads(result.output)
+    mat = build_matrix(FamilyParams(Family.M3, 2, 4))
+    m = mat.params.leaves_per_copy
+    names = [(row["role"], row["leaf"]) for row in data["rows"]]
+    assert names == (
+        [("ux", j) for j in range(1, m + 1)] + [("uv", 0)]
+        + [("vx", j) for j in range(1, m + 1)]
+    )
+    assert [row["values"] for row in data["rows"]] == mat.rows
+
 
 def test_cli_build_and_verify(runner, tmp_path):
     gfile = tmp_path / "g45.json"
@@ -215,9 +228,10 @@ def test_cli_verify_and_oracle_accept_the_triangle(runner, tmp_path):
         ("edges", "label", 1.9, "must be an integer"),
         ("edges", "label", True, "must be an integer"),
         ("edges", "label", "1", "must be an integer"),
+        ("edges", "v", "x:01:1", "bad vertex id"),
     ],
     ids=["id-int", "part-float", "part-bool", "endpoint-list", "label-float",
-         "label-bool", "label-str"],
+         "label-bool", "label-str", "endpoint-non-canonical"],
 )
 def test_cli_verify_rejects_non_integer_or_non_string_fields_exit_2(
     runner, tmp_path, section, field, value, message
@@ -232,14 +246,14 @@ def test_cli_verify_rejects_non_integer_or_non_string_fields_exit_2(
 
 
 def _first_move_file(runner, tmp_path, change):
-    """The first connecting move of G_4(3,3) in a swap file, after change(move)."""
+    """A swap file of the first connecting move of G_4(3,3), after change(document)."""
     result = runner.invoke(
         main,
         ["swaps", "--family", "m2", "-n", "2", "-k", "4", "-r", "1", "-s", "1"],
     )
     data = json.loads(result.output)
     data["moves"] = data["moves"][:1]
-    change(data["moves"][0])
+    change(data)
     path = tmp_path / "moves.json"
     path.write_text(json.dumps(data))
     return path
@@ -248,11 +262,17 @@ def _first_move_file(runner, tmp_path, change):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda mv: mv.update(center_a=5), "must be a string"),
-        (lambda mv: mv["pair_a"].append(mv["pair_b"][0]), "list of two"),
-        (lambda mv: mv["pair_b"][0].append("u:1:0"), "list of two"),
+        (lambda d: d["moves"][0].update(center_a=5), "must be a string"),
+        (lambda d: d["moves"][0]["pair_a"].append(d["moves"][0]["pair_b"][0]),
+         "list of two"),
+        (lambda d: d["moves"][0]["pair_b"][0].append("u:1:0"), "list of two"),
+        (lambda d: d.pop("format_version"), "format_version"),
+        (lambda d: d.update(format_version=99), "unsupported format_version 99"),
+        (lambda d: d.update(format_version="1"), "format_version must be an integer"),
+        (lambda d: d.update(format_version=True), "format_version must be an integer"),
     ],
-    ids=["center-int", "three-edge-pair", "three-endpoint-edge"],
+    ids=["center-int", "three-edge-pair", "three-endpoint-edge", "version-missing",
+         "version-99", "version-str", "version-bool"],
 )
 def test_cli_build_rejects_malformed_swap_file_exit_2(runner, tmp_path, change, message):
     path = _first_move_file(runner, tmp_path, change)
@@ -415,3 +435,24 @@ def test_cli_sweep_empty_range_exit_2(runner):
 def test_cli_exit_code_contract(runner):
     assert runner.invoke(main, ["matrix", "--family", "bad", "-n", "1", "-k", "1"]).exit_code == 2
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "-n", "0..1"],
+        ["sweep", "-n", "1", "--rs", "0..1"],
+        ["build", "--family", "m2", "-n", "1", "-k", "1", "--swaps", "{dir}"],
+        ["oracle", "--graph", "{dir}"],
+        ["build", "--family", "m2", "-n", "1", "-k", "1", "--out", "{dir}/no/such/x.json"],
+        ["verify", "{dir}/latin1.json"],
+    ],
+    ids=["sweep-n-0", "sweep-rs-0", "swaps-file-is-dir", "graph-file-is-dir",
+         "out-dir-missing", "graph-file-not-utf8"],
+)
+def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
+    (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
+    result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback

@@ -22,14 +22,12 @@ def golden_rows(name):
 
 def test_m2_example_matches_golden_table():
     mat = build_matrix(FamilyParams(Family.M2, 2, 4))
-    rows = [mat.row_values(role) for role in mat.rows]
-    assert rows == golden_rows("m2_n2_k4.csv")
+    assert mat.rows == golden_rows("m2_n2_k4.csv")
 
 
 def test_m3_example_matches_golden_table():
     mat = build_matrix(FamilyParams(Family.M3, 2, 4))
-    rows = [mat.row_values(role) for role in mat.rows]
-    assert rows == golden_rows("m3_n2_k4.csv")
+    assert mat.rows == golden_rows("m3_n2_k4.csv")
 
 
 def test_csv_export_byte_matches_golden():
@@ -40,13 +38,13 @@ def test_csv_export_byte_matches_golden():
 
 def test_spot_cells():
     m2 = build_matrix(FamilyParams(Family.M2, 2, 4))
-    assert m2.cell[(("ux", 1), 1)] == 78
-    assert m2.cell[(("ux", 4), 5)] == 27
-    assert m2.cell[(("vx", 4), 6)] == 72
+    assert m2.ux[0][0] == 78  # leaf 1, copy 1
+    assert m2.ux[3][4] == 27
+    assert m2.vx[3][5] == 72
     m3 = build_matrix(FamilyParams(Family.M3, 2, 4))
-    assert m3.cell[(("ux", 1), 1)] == 99
-    assert m3.cell[(("ux", 5), 9)] == 55
-    assert m3.cell[(("vx", 5), 5)] == 50
+    assert m3.ux[0][0] == 99
+    assert m3.ux[4][8] == 55
+    assert m3.vx[4][4] == 50
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])
@@ -55,13 +53,13 @@ def test_spot_cells():
 def test_bijection_on_grid(family, n, k):
     # build_matrix raises if the cells are not a bijection onto [1, q]
     mat = build_matrix(FamilyParams(family, n, k))
-    assert sorted(mat.cell.values()) == list(range(1, mat.params.q + 1))
+    assert sorted(v for row in mat.rows for v in row) == list(range(1, mat.params.q + 1))
 
 
 def test_m2_n1_k1_is_5x3_bijection():
     mat = build_matrix(FamilyParams(Family.M2, 1, 1))
-    assert len(mat.rows) == 5
-    assert sorted(mat.cell.values()) == list(range(1, 16))
+    assert len(mat.rows) == 5 and all(len(row) == 3 for row in mat.rows)
+    assert sorted(v for row in mat.rows for v in row) == list(range(1, 16))
 
 
 def test_column_sums_examples():
@@ -92,14 +90,11 @@ def test_crossing_pair_constant(family, n, k):
     params = FamilyParams(family, n, k)
     mat = build_matrix(params)
     const = center_constant(params)
-    for j in range(1, params.leaves_per_copy + 1):
-        for i in range(1, k + 1):
-            ii = 2 * k + 2 - i
-            assert mat.cell[(("ux", j), i)] + mat.cell[(("vx", j), ii)] == const
-            assert mat.cell[(("vx", j), i)] + mat.cell[(("ux", j), ii)] == const
-        assert (
-            mat.cell[(("ux", j), k + 1)] + mat.cell[(("vx", j), k + 1)] == const
-        )
+    for ux, vx in zip(mat.ux, mat.vx):
+        # copy i is entry i-1, so copy 2k+2-i is entry 2k-(i-1): reversed order
+        for u, v in zip(ux, reversed(vx)):
+            assert u + v == const
+        assert ux[k] + vx[k] == const  # copy k+1 pairs with itself
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])
@@ -111,24 +106,15 @@ def test_merge_block_sums(family, n, r, s):
     mat = build_matrix(params)
     const = center_constant(params)
     block = 2 * s + 1
-    for j in range(1, params.leaves_per_copy + 1):
+    for ux, vx in zip(mat.ux, mat.vx):
+        # entry c is copy c+1; its crossing partner, copy 2k+1-c, is entry 2k-c
         for a in range(1, r + 1):
             lo = (a - 1) * block
-            total_y = sum(
-                mat.cell[(("ux", j), lo + b)] + mat.cell[(("vx", j), 2 * k + 2 - lo - b)]
-                for b in range(1, block + 1)
-            )
-            total_z = sum(
-                mat.cell[(("vx", j), lo + b)] + mat.cell[(("ux", j), 2 * k + 2 - lo - b)]
-                for b in range(1, block + 1)
-            )
+            total_y = sum(ux[c] + vx[2 * k - c] for c in range(lo, lo + block))
+            total_z = sum(vx[c] + ux[2 * k - c] for c in range(lo, lo + block))
             assert total_y == total_z == block * const
-        total_mid = sum(
-            mat.cell[(("ux", j), r * block + b)]
-            + mat.cell[(("vx", j), 2 * k + 2 - r * block - b)]
-            for b in range(1, block + 1)
-        )
-        assert total_mid == block * const
+        mid = range(r * block, (r + 1) * block)
+        assert sum(ux[c] + vx[2 * k - c] for c in mid) == block * const
 
 
 def test_param_validation():
@@ -145,4 +131,5 @@ def test_param_validation():
 def test_uv_row_is_identity():
     for fam in (Family.M2, Family.M3):
         mat = build_matrix(FamilyParams(fam, 3, 5))
-        assert mat.row_values(("uv", 0)) == list(range(1, 12))
+        assert mat.uv == list(range(1, 12))
+        assert mat.rows[mat.params.leaves_per_copy] is mat.uv
