@@ -1,104 +1,78 @@
 """Hot search kernel for the exhaustive oracle.
 
-The DFS below is written against plain numpy arrays so the exact same
-function body runs either JIT-compiled through numba, when the optional
-`[jit]` extra is installed, or as pure Python.  `search_fallback` is always
-the interpreted body.
+`search` is plain Python over lists of ints, all prepared by
+`oracle._kernel_inputs`: the endpoints of each edge in search order and,
+for each search position, the edges whose endpoints are both saturated
+(every incident edge labeled) once that position is labeled.  A vertex
+saturates at a fixed position, the last one that touches it, so pruning
+needs no degree counters or adjacency walk at search time.
 """
 from __future__ import annotations
 
-import numpy as np
+# Kept as a constant for callers that record which kernel ran (the
+# benchmark's environment stamp reads it); the kernel is never compiled.
+USING_NUMBA = False
 
 
-def _search_impl(eu, ev, degrees, adj_off, adj_flat, q, n, prune):
+def search(eu, ev, checks, q, n, prune):
     """Enumerate bijections [edges] -> [1,q] in lexicographic label order.
 
-    Returns (best_color_count, best_labels, labelings_tried, valid_count);
-    best_color_count is 0 when no bijection is local antimagic.  With
-    prune=True a partial assignment is abandoned as soon as two adjacent
-    saturated vertices collide, so labelings_tried counts only the
-    complete assignments actually reached.
+    eu[pos], ev[pos] are the endpoints of the edge at search position pos
+    (vertices numbered 0..n-1); checks[pos] lists the (a, b) edges that
+    become fully saturated at pos.  Returns (best_color_count,
+    best_labels, labelings_tried, valid_count); best_color_count is 0 when
+    no bijection is local antimagic.  With prune=True a partial assignment
+    is abandoned as soon as two adjacent saturated vertices collide, so
+    labelings_tried counts only the complete assignments actually reached.
     """
-    assign = np.zeros(q, dtype=np.int64)
-    used = np.zeros(q + 1, dtype=np.bool_)
-    sums = np.zeros(n, dtype=np.int64)
-    rem = degrees.copy()
+    sums = [0] * n
+    assign = [0] * q
+    used = [False] * (q + 1)
     best = 0
-    best_labels = np.zeros(q, dtype=np.int64)
+    best_labels = assign[:]
     tried = 0
     valid = 0
+    final = q - 1
     pos = 0
+    lab = 1
     while True:
-        lab = assign[pos] + 1
-        if assign[pos] != 0:
-            old = assign[pos]
-            used[old] = False
-            u = eu[pos]
-            v = ev[pos]
-            sums[u] -= old
-            sums[v] -= old
-            rem[u] += 1
-            rem[v] += 1
-            assign[pos] = 0
         while lab <= q and used[lab]:
             lab += 1
         if lab > q:
             pos -= 1
             if pos < 0:
                 break
+            lab = assign[pos]
+            used[lab] = False
+            sums[eu[pos]] -= lab
+            sums[ev[pos]] -= lab
+            lab += 1
             continue
-        assign[pos] = lab
-        used[lab] = True
         u = eu[pos]
         v = ev[pos]
         sums[u] += lab
         sums[v] += lab
-        rem[u] -= 1
-        rem[v] -= 1
+        clash = False
         if prune:
-            conflict = False
-            for w in (u, v):
-                if rem[w] == 0:
-                    for t in range(adj_off[w], adj_off[w + 1]):
-                        x = adj_flat[t]
-                        if rem[x] == 0 and sums[x] == sums[w]:
-                            conflict = True
-                            break
-                if conflict:
+            for a, b in checks[pos]:
+                if sums[a] == sums[b]:
+                    clash = True
                     break
-            if conflict:
+        if not clash:
+            assign[pos] = lab
+            if pos < final:
+                used[lab] = True
+                pos += 1
+                lab = 1
                 continue
-        if pos == q - 1:
             tried += 1
-            ok = True
-            if not prune:
-                for e in range(q):
-                    if sums[eu[e]] == sums[ev[e]]:
-                        ok = False
-                        break
-            if ok:
+            if prune or not any(sums[a] == sums[b] for a, b in zip(eu, ev)):
                 valid += 1
-                sorted_sums = np.sort(sums)
-                count = 1
-                for i in range(1, n):
-                    if sorted_sums[i] != sorted_sums[i - 1]:
-                        count += 1
+                count = len(set(sums))
                 if best == 0 or count < best:
                     best = count
-                    best_labels = assign.copy()
-            continue
-        pos += 1
+                    best_labels = assign[:]
+        sums[u] -= lab
+        sums[v] -= lab
+        lab += 1
     return best, best_labels, tried, valid
-
-
-USING_NUMBA = False
-search = _search_impl
-try:
-    from numba import njit
-
-    search = njit(cache=True)(_search_impl)
-    USING_NUMBA = True
-except ImportError:
-    pass
-
-search_fallback = _search_impl

@@ -31,8 +31,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.n < 1:
             raise ParamError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ParamError(f"k must be >= 1, got {self.k}")
+        # r and s first: a sweep derives k from them, so a bad r or s
+        # would otherwise be reported as a k the user never gave
         if self.factorization is not None:
             r, s = self.factorization
             if r < 1 or s < 1:
@@ -42,6 +42,8 @@ class FamilyParams:
                     f"(2r+1)(2s+1) = {(2 * r + 1) * (2 * s + 1)} "
                     f"but 2k+1 = {2 * self.k + 1}"
                 )
+        if self.k < 1:
+            raise ParamError(f"k must be >= 1, got {self.k}")
 
     @property
     def leaves_per_copy(self) -> int:

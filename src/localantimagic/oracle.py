@@ -6,8 +6,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import _kernels
 from .graph import (
     Edge,
@@ -45,16 +43,23 @@ def _edge_order(g: LabeledGraph) -> List[Edge]:
 
 
 def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
-    """The search order of g's edges and the kernel's array arguments
-    (eu, ev, degrees, adj_off, adj_flat, q, n) for that order."""
-    of, adj = g.index.of, g.index.adj
+    """The search order of g's edges and the kernel's arguments
+    (eu, ev, checks, q, n) for that order.
+
+    A vertex saturates at the last position that touches it, and an edge
+    (a, b) can first be checked once both ends are saturated, so it goes
+    into checks[max(last[a], last[b])]."""
+    of = g.index.of
     order = _edge_order(g)
-    eu = np.array([of[e[0]] for e in order], dtype=np.int64)
-    ev = np.array([of[e[1]] for e in order], dtype=np.int64)
-    degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
-    adj_off = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-    adj_flat = np.array([w for nbrs in adj for w in nbrs] or [0], dtype=np.int64)
-    return order, (eu, ev, degrees, adj_off, adj_flat, len(order), len(adj))
+    eu = [of[a] for a, _ in order]
+    ev = [of[b] for _, b in order]
+    last = [-1] * len(g.index.adj)
+    for pos, (a, b) in enumerate(zip(eu, ev)):
+        last[a] = last[b] = pos
+    checks: List[List[Tuple[int, int]]] = [[] for _ in order]
+    for a, b in zip(eu, ev):
+        checks[max(last[a], last[b])].append((a, b))
+    return order, (eu, ev, checks, len(order), len(last))
 
 
 def exhaustive_chi_la(
@@ -74,19 +79,12 @@ def exhaustive_chi_la(
             f"the oracle enumerates q! bijections and refuses large inputs"
         )
     order, inputs = _kernel_inputs(g)
-    if q == 0:
-        return OracleResult(chi_la=None, witness=None, labelings_tried=0, valid_labelings=0)
     best, best_labels, tried, valid = _kernels.search(*inputs, prune)
-    if best == 0:
-        return OracleResult(
-            chi_la=None, witness=None, labelings_tried=int(tried), valid_labelings=int(valid)
-        )
-    witness = {order[i]: int(best_labels[i]) for i in range(q)}
     return OracleResult(
-        chi_la=int(best),
-        witness=witness,
-        labelings_tried=int(tried),
-        valid_labelings=int(valid),
+        chi_la=best or None,
+        witness=dict(zip(order, best_labels)) if best else None,
+        labelings_tried=tried,
+        valid_labelings=valid,
     )
 
 

@@ -1,7 +1,6 @@
 import pickle
 from functools import cached_property
 
-import numpy as np
 import pytest
 
 from localantimagic import (
@@ -268,15 +267,15 @@ INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
 def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     inc = g.incident()
     assert {v: g.degree(v) for v in g.part} == {v: len(es) for v, es in inc.items()}
-    order, (eu, ev, degrees, adj_off, adj_flat, q, n) = _kernel_inputs(g)
+    order, (eu, ev, checks, q, n) = _kernel_inputs(g)
     verts = g.vertices()
-    assert n == len(verts) and q == g.q == len(order)
-    assert degrees.tolist() == [g.degree(v) for v in verts]
-    assert adj_off.tolist() == [0, *np.cumsum(degrees).tolist()]
-    rows = [set(adj_flat[adj_off[i] : adj_off[i + 1]].tolist()) for i in range(n)]
-    assert [len(r) for r in rows] == degrees.tolist()  # no repeated neighbour
-    assert all(i in rows[j] for i in range(n) for j in rows[i])  # symmetric
-    assert sorted(zip(eu.tolist(), ev.tolist())) == sorted(
-        (i, j) for i in range(n) for j in rows[i] if i < j
+    assert n == len(verts) and q == g.q == len(order) == len(checks)
+    assert [(verts[a], verts[b]) for a, b in zip(eu, ev)] == order
+    # each edge is checked once, when the later of its ends saturates:
+    # at the last search position among that vertex's incident edges
+    pos_of = {e: pos for pos, e in enumerate(order)}
+    last = {v: max(map(pos_of.__getitem__, es)) for v, es in inc.items() if es}
+    of = {v: i for i, v in enumerate(verts)}
+    assert sorted((max(last[a], last[b]), (of[a], of[b])) for a, b in order) == sorted(
+        (pos, pair) for pos, pairs in enumerate(checks) for pair in pairs
     )
-    assert [(verts[a], verts[b]) for a, b in zip(eu.tolist(), ev.tolist())] == order

@@ -446,9 +446,11 @@ def test_cli_exit_code_contract(runner):
         ["oracle", "--graph", "{dir}"],
         ["build", "--family", "m2", "-n", "1", "-k", "1", "--out", "{dir}/no/such/x.json"],
         ["verify", "{dir}/latin1.json"],
+        ["build", "--family", "m2", "-n", "1", "-k", "1", "-r", "0", "-s", "1",
+         "--stage", "merged"],
     ],
     ids=["sweep-n-0", "sweep-rs-0", "swaps-file-is-dir", "graph-file-is-dir",
-         "out-dir-missing", "graph-file-not-utf8"],
+         "out-dir-missing", "graph-file-not-utf8", "build-r-0"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
@@ -456,3 +458,7 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     assert result.exit_code == 2
     assert "error:" in result.output
     assert isinstance(result.exception, SystemExit)  # not a traceback
+    if "--rs" in args or "-r" in args:
+        # the bad factorization is named, not the k derived from it
+        assert "r, s must be >= 1" in result.output
+        assert "k must" not in result.output

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +15,6 @@ from localantimagic import (
     path_p2,
     verify_local_antimagic,
 )
-from localantimagic._kernels import search_fallback
 from localantimagic.oracle import BudgetError, _edge_order
 
 
@@ -116,22 +117,56 @@ def test_hard_limit_caps_budget():
         exhaustive_chi_la(book_graph(3, 2), edge_budget=100)
 
 
+def _random_tripartite(rng, q):
+    """A simple graph with q edges, each between two of three parts."""
+    pairs = []
+    while len(pairs) < q:
+        nv = rng.randint(3, q + 1)
+        vs = [VertexId(Role.X, rng.randint(1, 3), i) for i in range(1, nv + 1)]
+        pairs = [(a, b) for a, b in itertools.combinations(vs, 2)
+                 if a.copy_index != b.copy_index]
+    return LabeledGraph(
+        part={v: v.copy_index for v in vs},
+        edges={edge(a, b) for a, b in rng.sample(pairs, q)},
+    )
+
+
+def _reference_chi_la(g):
+    """(chi_la, witness, valid count) by trying every permutation of 1..q
+    on the oracle's edge order, in lexicographic order."""
+    order = _edge_order(g)
+    best, witness, valid = None, None, 0
+    for labels in itertools.permutations(range(1, g.q + 1)):
+        sums = dict.fromkeys(g.part, 0)
+        for (a, b), lab in zip(order, labels):
+            sums[a] += lab
+            sums[b] += lab
+        if any(sums[a] == sums[b] for a, b in order):
+            continue
+        valid += 1
+        colors = len(set(sums.values()))
+        if best is None or colors < best:
+            best, witness = colors, dict(zip(order, labels))
+    return best, witness, valid
+
+
+REFERENCE_GRAPHS = [book_graph(1, 1), book_graph(1, 2), book_graph(2, 1), book_graph(1, 3),
+                    path_p2()]
+REFERENCE_GRAPHS += [_random_tripartite(random.Random(seed), q)
+                     for seed, q in enumerate((4, 5, 6, 6, 7, 7))]
+
+
 def test_fallback_kernel_agrees():
-    import numpy as np
-
-    from localantimagic import oracle
-    from localantimagic import _kernels
-
-    g = book_graph(2, 1)
-    result = exhaustive_chi_la(g)
-    # rerun through the pure-Python fallback
-    original = _kernels.search
-    _kernels.search = search_fallback
-    try:
-        again = exhaustive_chi_la(g)
-    finally:
-        _kernels.search = original
-    assert again == result
+    # the search kernel against a plain enumeration of every bijection;
+    # one random graph has an isolated vertex, whose sum 0 is a color
+    assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in REFERENCE_GRAPHS)
+    for g in REFERENCE_GRAPHS:
+        chi, witness, valid = _reference_chi_la(g)
+        for prune in (True, False):
+            r = exhaustive_chi_la(g, prune=prune)
+            assert (r.chi_la, r.valid_labelings) == (chi, valid)
+            assert r.witness == witness
+            assert r.labelings_tried == (valid if prune else math.factorial(g.q))
 
 
 def test_cross_check_valid_triangle():
