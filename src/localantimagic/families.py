@@ -2,21 +2,63 @@
 the leaf-merge step, and label-preserving 2-swaps."""
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .graph import (
-    Edge,
-    GraphError,
-    LabeledGraph,
-    Role,
-    VertexId,
-    edge,
-)
-from .matrices import Family, FamilyParams, LabelMatrix, ParamError, build_matrix
+from .graph import Edge, LabeledGraph, Role, VertexId, edge
+from .matrices import FamilyParams, LabelMatrix, ParamError, build_matrix
 
 
 class ConstructionError(Exception):
     pass
+
+
+def _vertex_ids(fields: List[tuple]) -> List[VertexId]:
+    """VertexIds from (role, copy, leaf) tuples that are valid by
+    construction, without re-validating each."""
+    new = tuple.__new__
+    return [new(VertexId, f) for f in fields]
+
+
+def _layout(params: FamilyParams, crossed: bool) -> list:
+    """[vertex field tuples, classes, eu, ev] of the base graph of params
+    (crossed: of its crossing), all in sorted order.
+
+    The vertices are u_1..u_c, v_1..v_c, then the leaves in blocks of m.
+    The edges are u_i v_i and u_i's leaf edges, copy by copy, then v_i's
+    leaf edges; each goes to leaf j of a block, in order j.  In the base
+    graph copy i has its own block x_i on both sides.  In the crossed graph
+    the blocks are x_{k+1}, y_1..y_k, z_1..z_k: u_i is joined to y_i
+    (i <= k), x_{k+1} (i = k+1) or z_{2k+2-i} (i >= k+2), and v_i to the
+    block of u_{2k+2-i}."""
+    k, m, c = params.k, params.leaves_per_copy, params.copies
+    leaf = range(1, m + 1)
+    if crossed:
+        leaves = [(Role.X, k + 1, j) for j in leaf]
+        leaves += [(role, i, j) for role in (Role.Y, Role.Z)
+                   for i in range(1, k + 1) for j in leaf]
+        u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
+        v_block = u_block[::-1]
+    else:
+        leaves = [(Role.X, i, j) for i in range(1, c + 1) for j in leaf]
+        u_block = v_block = range(c)
+    vertices = [(role, i, 0) for role in (Role.U, Role.V) for i in range(1, c + 1)]
+    eu: List[int] = []
+    ev: List[int] = []
+    for i, b in enumerate(u_block):
+        eu += [i] * (m + 1)
+        ev += [c + i, *range(2 * c + b * m, 2 * c + b * m + m)]
+    for i, b in enumerate(v_block):
+        eu += [c + i] * m
+        ev += range(2 * c + b * m, 2 * c + b * m + m)
+    return [vertices + leaves, [1] * c + [2] * c + [3] * len(leaves), eu, ev]
+
+
+def _require_layout(g: LabeledGraph, params: FamilyParams, crossed: bool) -> None:
+    if [g._vertices, g._part, g._eu, g._ev] != _layout(params, crossed):
+        stage = "crossed" if crossed else "base"
+        raise ConstructionError(f"not the {stage} graph of {params}")
 
 
 def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
@@ -24,22 +66,14 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
 
     u vertices get part 1, v part 2, leaves part 3.
     """
-    p = mat.params
-    m = p.leaves_per_copy
-    part: Dict[VertexId, int] = {}
-    labels: Dict[Edge, int] = {}
-    for i in range(1, p.copies + 1):
-        u = VertexId(Role.U, i)
-        v = VertexId(Role.V, i)
-        part[u] = 1
-        part[v] = 2
-        labels[edge(u, v)] = mat.uv[i - 1]
-        for j in range(1, m + 1):
-            x = VertexId(Role.X, i, j)
-            part[x] = 3
-            labels[edge(u, x)] = mat.ux[j - 1][i - 1]
-            labels[edge(v, x)] = mat.vx[j - 1][i - 1]
-    return LabeledGraph(part=part, edges=set(labels), labels=labels)
+    vertices, part, eu, ev = _layout(mat.params, crossed=False)
+    label: List[int] = []
+    for uv, ux in zip(mat.uv, zip(*mat.ux)):
+        label.append(uv)
+        label += ux
+    for vx in zip(*mat.vx):
+        label += vx
+    return LabeledGraph._from_arrays(_vertex_ids(vertices), part, eu, ev, label)
 
 
 def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -48,72 +82,44 @@ def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     Each v-to-leaf edge v_i x_{i,j} with i != k+1 keeps its label and moves
     to leaf j of copy 2k+2-i.  Leaves of copies i <= k become y_{i,j},
     leaves of copies i >= k+2 become z_{2k+2-i,j}, and copy k+1 keeps x.
+    Edges keep their sorted positions, so only the far ends change.
     """
-    if any(v.role not in (Role.U, Role.V, Role.X) for v in g.part):
+    if g._vertices and g._vertices[-1].role > Role.X:  # sorted: roles last
         raise ConstructionError("crossing already applied")
-    k = params.k
-
-    def leaf(i: int, j: int) -> VertexId:
-        if i <= k:
-            return VertexId(Role.Y, i, j)
-        if i >= k + 2:
-            return VertexId(Role.Z, 2 * k + 2 - i, j)
-        return VertexId(Role.X, i, j)
-
-    rename = {v: leaf(v.copy_index, v.leaf_index) for v in g.part if v.role is Role.X}
-    labels: Dict[Edge, int] = {}
-    for (a, b), lab in g.labels.items():
-        if b.role is Role.X:
-            if a.role is Role.V and b.copy_index != k + 1:
-                # the mirror leaf, keyed by the field tuple its VertexId equals
-                b = (Role.X, 2 * k + 2 - b.copy_index, b.leaf_index)
-            b = rename[b]
-        labels[edge(a, b)] = lab
-    part = {rename.get(v, v): c for v, c in g.part.items()}
-    return LabeledGraph(part=part, edges=set(labels), labels=labels)
-
-
-def _merge_groups(params: FamilyParams) -> Dict[VertexId, VertexId]:
-    """Old vertex -> merged vertex for every leaf, per column j.
-
-    Copies b <= k fall in blocks of 2s+1 starting at lo; the first r blocks
-    merge into MY/MZ(lo), and the last block, which straddles copy k+1,
-    merges with x_{k+1} into MX(k+1).
-    """
-    r, s = params.factorization  # type: ignore[misc]
-    k = params.k
-    block = 2 * s + 1
-    target: Dict[VertexId, VertexId] = {}
-    for j in range(1, params.leaves_per_copy + 1):
-        mx = target[VertexId(Role.X, k + 1, j)] = VertexId(Role.MX, k + 1, j)
-        for b in range(1, k + 1):
-            lo = (b - 1) // block * block + 1
-            if b == lo:  # a new block: name its merged leaves once
-                middle = lo > r * block
-                my = mx if middle else VertexId(Role.MY, lo, j)
-                mz = mx if middle else VertexId(Role.MZ, lo, j)
-            target[VertexId(Role.Y, b, j)] = my
-            target[VertexId(Role.Z, b, j)] = mz
-    return target
+    _require_layout(g, params, crossed=False)
+    vertices, part, eu, ev = _layout(params, crossed=True)
+    return LabeledGraph._from_arrays(_vertex_ids(vertices), part, eu, ev, g._label)
 
 
 def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     """Identify each run of 2s+1 same-role leaves into a single vertex.
 
     Requires 2k+1 = (2r+1)(2s+1); edge labels are untouched, only leaf
-    identities change.  The merged graph has r+1 components.
+    identities change.  Copies b <= k fall in blocks of 2s+1 starting at
+    lo; the first r blocks merge into MY/MZ(lo), and the last block, which
+    straddles copy k+1, merges with x_{k+1} into MX(k+1).  The merged
+    graph has r+1 components.
     """
     if params.factorization is None:
         raise ParamError("merge requires a factorization (r, s)")
-    target = _merge_groups(params)
-    part = {target.get(v, v): c for v, c in g.part.items()}
-    labels: Dict[Edge, int] = {}
-    for (a, b), lab in g.labels.items():
-        e = edge(target.get(a, a), target.get(b, b))
-        if e in labels:
-            raise ConstructionError(f"merge would create parallel edge {e}")
-        labels[e] = lab
-    return LabeledGraph(part=part, edges=set(labels), labels=labels)
+    _require_layout(g, params, crossed=True)
+    r, s = params.factorization
+    k, m, c = params.k, params.leaves_per_copy, params.copies
+    block = 2 * s + 1
+    leaves = [(role, t * block + 1, j) for role in (Role.MY, Role.MZ)
+              for t in range(r) for j in range(1, m + 1)]
+    leaves += [(Role.MX, k + 1, j) for j in range(1, m + 1)]
+    # merged leaf block of each crossed one (x, y_1..y_k, z_1..z_k), where
+    # the merged blocks are my_1..my_r, mz_1..mz_r, mx; then each leaf's
+    # new position, leaf j of a block staying leaf j
+    runs = [(b - 1) // block for b in range(1, k + 1)]
+    into = [2 * r] + [t if t < r else 2 * r for t in runs]
+    into += [r + t if t < r else 2 * r for t in runs]
+    target = [*range(2 * c), *(2 * c + b * m + j for b in into for j in range(m))]
+    vertices = g._vertices[: 2 * c] + _vertex_ids(leaves)
+    part = [1] * c + [2] * c + [3] * len(leaves)
+    ev = [target[b] for b in g._ev]
+    return LabeledGraph._from_arrays(vertices, part, g._eu, ev, g._label)
 
 
 class SwapMove(NamedTuple):
@@ -142,12 +148,29 @@ class SwapError(Exception):
     pass
 
 
-def _validate_swap(g: LabeledGraph, move: SwapMove) -> None:
+def _edge_at(g: LabeledGraph, e: Edge) -> Optional[int]:
+    """Position of edge e in g's sorted edge arrays, or None."""
+    try:
+        a, b = g._position(e[0]), g._position(e[1])
+    except KeyError:
+        return None
+    lo = bisect_left(g._eu, a)
+    hi = bisect_right(g._eu, a, lo)
+    i = bisect_left(g._ev, b, lo, hi)
+    return i if i < hi and g._ev[i] == b else None
+
+
+def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
+    """The positions of the move's four edges, pair_a first; SwapError
+    unless the swap keeps g simple, tripartite and equally colored."""
     if move.center_a == move.center_b:
         raise SwapError("centers must be distinct")
+    pos = []
     for e in (*move.pair_a, *move.pair_b):
-        if e not in g.edges:
+        p = _edge_at(g, e)
+        if p is None:
             raise SwapError(f"edge {e} not in graph")
+        pos.append(p)
     if move.pair_a[0] == move.pair_a[1] or move.pair_b[0] == move.pair_b[1]:
         raise SwapError("each pair needs two distinct edges")
     if set(move.pair_a) & set(move.pair_b):
@@ -158,67 +181,54 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> None:
     for e in move.pair_b:
         if move.center_b not in e:
             raise SwapError(f"edge {e} not incident to {move.center_b}")
-    sum_a = sum(g.labels[e] for e in move.pair_a)
-    sum_b = sum(g.labels[e] for e in move.pair_b)
+    labs = [g._label[p] for p in pos]
+    if None in labs:
+        raise SwapError("swap edges must be labeled")
+    sum_a, sum_b = labs[0] + labs[1], labs[2] + labs[3]
     if sum_a != sum_b:
         raise SwapError(f"pair sums differ: {sum_a} != {sum_b}")
     fa, fb = move.far_endpoints()
+
+    def part(v: VertexId) -> int:
+        return g._part[g._position(v)]
+
     for w in fa:
-        if g.part[w] == g.part[move.center_b]:
+        if part(w) == part(move.center_b):
             raise SwapError(f"{w} shares a part with {move.center_b}")
     for w in fb:
-        if g.part[w] == g.part[move.center_a]:
+        if part(w) == part(move.center_a):
             raise SwapError(f"{w} shares a part with {move.center_a}")
     if fa[0] == fa[1] or fb[0] == fb[1]:
         raise SwapError("pair edges share a far endpoint")
-    removed = {*move.pair_a, *move.pair_b}
-    for w in fa:
-        if w == move.center_b:
-            raise SwapError("swap would create a loop")
-        e = edge(w, move.center_b)
-        if e in g.edges and e not in removed:
-            raise SwapError(f"swap would duplicate edge {e}")
-    for w in fb:
-        if w == move.center_a:
-            raise SwapError("swap would create a loop")
-        e = edge(w, move.center_a)
-        if e in g.edges and e not in removed:
-            raise SwapError(f"swap would duplicate edge {e}")
+    for far, center in ((fa, move.center_b), (fb, move.center_a)):
+        for w in far:
+            if w == center:
+                raise SwapError("swap would create a loop")
+            e = edge(w, center)
+            if _edge_at(g, e) not in (None, *pos):
+                raise SwapError(f"swap would duplicate edge {e}")
+    return pos
 
 
 def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
-    _validate_swap(g, move)
-    labels = dict(g.labels)
-    fa, fb = move.far_endpoints()
-    lab_a = [labels.pop(e) for e in move.pair_a]
-    lab_b = [labels.pop(e) for e in move.pair_b]
-    for w, lab in zip(fa, lab_a):
-        labels[edge(w, move.center_b)] = lab
-    for w, lab in zip(fb, lab_b):
-        labels[edge(w, move.center_a)] = lab
-    return LabeledGraph(part=dict(g.part), edges=set(labels), labels=labels)
-
-
-# ((smaller label, larger label), (edge, edge)) per incident edge pair
-PairBucket = List[Tuple[Tuple[int, int], Tuple[Edge, Edge]]]
-
-
-def swap_pair_buckets(g: LabeledGraph) -> Dict[VertexId, Dict[int, PairBucket]]:
-    """Per leaf-class vertex: incident edge pairs grouped by label sum,
-    each stored with its (smaller, larger) label pair and in that order."""
-    inc = g.incident()
-    buckets: Dict[VertexId, Dict[int, PairBucket]] = {}
-    for c in sorted(g.part):
-        if g.part[c] != 3:
-            continue
-        edges_c = sorted(inc[c], key=g.labels.__getitem__)
-        labs = [g.labels[e] for e in edges_c]
-        by_sum: Dict[int, PairBucket] = {}
-        for ai, (l1, e1) in enumerate(zip(labs, edges_c)):
-            for l2, e2 in zip(labs[ai + 1 :], edges_c[ai + 1 :]):
-                by_sum.setdefault(l1 + l2, []).append(((l1, l2), (e1, e2)))
-        buckets[c] = by_sum
-    return buckets
+    """Re-home pair_a's edges to center_b and pair_b's to center_a, each
+    keeping its label and far endpoint; then re-sort the edge arrays."""
+    pos = _validate_swap(g, move)
+    eu, ev = list(g._eu), list(g._ev)
+    ca, cb = g._position(move.center_a), g._position(move.center_b)
+    for p, old, new in zip(pos, (ca, ca, cb, cb), (cb, cb, ca, ca)):
+        far = eu[p] ^ ev[p] ^ old
+        eu[p], ev[p] = min(far, new), max(far, new)
+    n = len(g._vertices)
+    keys = [a * n + b for a, b in zip(eu, ev)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return LabeledGraph._from_arrays(
+        g._vertices,
+        g._part,
+        [eu[e] for e in order],
+        [ev[e] for e in order],
+        [g._label[e] for e in order],
+    )
 
 
 def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
@@ -234,26 +244,43 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
     so equal pair sums are the only surviving constraint.
     """
     g.check_tripartite()
-    buckets = swap_pair_buckets(g)
-    centers = sorted(buckets)
-    pos = {c: g.index.of[c] for c in centers}
-    comp = {c: g.index.component[i] for c, i in pos.items()}
-    degree = {c: len(g.index.adj[i]) for c, i in pos.items()}
-    for ai, ca in enumerate(centers):
-        by_sum_a = buckets[ca]
-        for cb in centers[ai + 1 :]:
-            if comp[ca] == comp[cb] or degree[ca] != degree[cb]:
-                continue
-            by_sum_b = buckets[cb]
-            combos = [
-                (la, lb, pa, pb)
-                for s in by_sum_a.keys() & by_sum_b.keys()
-                for la, pa in by_sum_a[s]
-                for lb, pb in by_sum_b[s]
-            ]
-            combos.sort()
-            for _, _, pa, pb in combos:
-                yield SwapMove(ca, cb, pa, pb)
+    label, edges, inc = g._label, g._edge_list, g._incident_positions()
+    centers = [c for c, cls in enumerate(g._part) if cls == 3]
+    # Per center: its incident edge pairs as (label sum, (edge, edge)), the
+    # edges of a pair and the pairs in increasing label order, and the
+    # pairs again grouped by label sum.
+    pairs: Dict[int, List[Tuple[int, Tuple[Edge, Edge]]]] = {}
+    by_sum: Dict[int, Dict[int, List[Tuple[Edge, Edge]]]] = {}
+    for c in centers:
+        es = sorted(inc[c], key=label.__getitem__)
+        seq = pairs[c] = [
+            (label[e1] + label[e2], (edges[e1], edges[e2]))
+            for i, e1 in enumerate(es)
+            for e2 in es[i + 1 :]
+        ]
+        groups = by_sum[c] = {}
+        for s, pair in seq:
+            groups.setdefault(s, []).append(pair)
+    comp, vs = g.index.component, g._vertices
+    new = tuple.__new__
+
+    def per_center_pair():
+        for ai, ca in enumerate(centers):
+            seq_a, va = pairs[ca], vs[ca]
+            for cb in centers[ai + 1 :]:
+                if comp[ca] == comp[cb] or len(inc[ca]) != len(inc[cb]):
+                    continue
+                # pair_a in label order, then pair_b in label order: a
+                # pair's labels decide its sum, so this is (labels_a, labels_b)
+                groups, vb = by_sum[cb], vs[cb]
+                yield [
+                    new(SwapMove, (va, vb, pa, pb))
+                    for s, pa in seq_a
+                    if s in groups
+                    for pb in groups[s]
+                ]
+
+    return chain.from_iterable(per_center_pair())
 
 
 def build_family(

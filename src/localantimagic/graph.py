@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from itertools import islice
+from operator import lt
+from types import MappingProxyType
+from typing import (AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 
 class Role(IntEnum):
@@ -87,78 +92,157 @@ class GraphError(Exception):
 
 
 class GraphIndex(NamedTuple):
-    vertices: List[VertexId]  # sorted
-    of: Dict[VertexId, int]  # vertex -> position in `vertices`
     adj: List[List[int]]  # neighbour positions, per position
     component: List[int]  # per position, numbered by smallest contained vertex
     components: int
     bipartite: bool
 
 
-@dataclass
 class LabeledGraph:
     """Simple undirected graph with a 3-part class per vertex and
     (optionally) a positive integer label per edge.
 
-    Treated as immutable after construction; transforms return new graphs.
-    `index` is built on first use and cached, so mutating `part` or
-    `edges` afterwards would leave it stale.
+    Stored as int arrays: `_vertices` is the sorted vertex list, `_part[i]`
+    the class of vertex i, and edge e (in sorted order) joins vertices
+    `_eu[e] < _ev[e]` with label `_label[e]` (None when unlabeled).
+    `LabeledGraph(part=, edges=, labels=)` validates dict input;
+    transforms build through `_from_arrays`, which checks the same
+    invariants in int form.  `part`, `edges` and `labels` are read-only
+    views, built on first read.  Immutable: transforms return new graphs.
     """
 
-    part: Dict[VertexId, int]
-    edges: Set[Edge]
-    labels: Dict[Edge, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for a, b in self.edges:
+    def __init__(self, part: Mapping[VertexId, int], edges: AbstractSet[Edge],
+                 labels: Optional[Mapping[Edge, int]] = None):
+        labels = {} if labels is None else labels
+        for a, b in edges:
             if a == b:
                 raise GraphError(f"loop at {a}")
-            if a not in self.part or b not in self.part:
+            if a not in part or b not in part:
                 raise GraphError(f"edge ({a}, {b}) has endpoint outside vertex set")
             if not a < b:
                 raise GraphError(f"edge ({a}, {b}) not normalized")
-        for e in self.labels:
-            if e not in self.edges:
+        for e in labels:
+            if e not in edges:
                 raise GraphError(f"label on non-edge {e}")
-        for v, c in self.part.items():
+        for v, c in part.items():
             if c not in (1, 2, 3):
                 raise GraphError(f"part class of {v} is {c}, expected 1..3")
+        vertices = sorted(part)
+        of = {v: i for i, v in enumerate(vertices)}
+        es = sorted(edges)
+        self._set(vertices, [part[v] for v in vertices], [of[a] for a, _ in es],
+                  [of[b] for _, b in es], [labels.get(e) for e in es])
+
+    @classmethod
+    def _from_arrays(cls, vertices, part, eu, ev, label) -> "LabeledGraph":
+        g = cls.__new__(cls)
+        g._set(vertices, part, eu, ev, label)
+        return g
+
+    def _set(self, vertices, part, eu, ev, label) -> None:
+        n = len(vertices)
+        if not len(part) == n or not len(eu) == len(ev) == len(label):
+            raise GraphError("vertex or edge arrays differ in length")
+        if not all(map(lt, vertices, islice(vertices, 1, None))):
+            raise GraphError("vertices not strictly sorted")
+        if not {1, 2, 3}.issuperset(part):
+            raise GraphError("part class outside 1..3")
+        if eu and (min(eu) < 0 or max(ev) >= n):
+            raise GraphError("edge endpoint outside vertex set")
+        if not all(map(lt, eu, ev)):
+            raise GraphError("edge not normalized")
+        keys = [a * n + b for a, b in zip(eu, ev)]
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            raise GraphError("edges not sorted, or listed twice")
+        self.__dict__.update(
+            _vertices=vertices, _part=part, _eu=eu, _ev=ev, _label=label
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledGraph is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return self._arrays() == other._arrays()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _arrays(self):
+        return self._vertices, self._part, self._eu, self._ev, self._label
+
+    def __reduce__(self):
+        return LabeledGraph._from_arrays, self._arrays()
+
+    def __repr__(self) -> str:
+        return f"<LabeledGraph: {len(self._vertices)} vertices, {self.q} edges>"
+
+    @cached_property
+    def part(self) -> Mapping[VertexId, int]:
+        return MappingProxyType(dict(zip(self._vertices, self._part)))
+
+    @cached_property
+    def edges(self) -> FrozenSet[Edge]:
+        return frozenset(self._edge_list)
+
+    @cached_property
+    def labels(self) -> Mapping[Edge, int]:
+        return MappingProxyType(
+            {e: lab for e, lab in zip(self._edge_list, self._label) if lab is not None}
+        )
+
+    @cached_property
+    def _edge_list(self) -> List[Edge]:
+        """The edges as vertex tuples, in sorted order; made once."""
+        vs = self._vertices
+        return [(vs[a], vs[b]) for a, b in zip(self._eu, self._ev)]
 
     @property
     def q(self) -> int:
-        return len(self.edges)
+        return len(self._eu)
 
     def vertices(self) -> List[VertexId]:
-        return sorted(self.part)
+        return list(self._vertices)
 
     def sorted_edges(self) -> List[Edge]:
-        return sorted(self.edges)
+        return list(self._edge_list)
 
-    def incident(self) -> Dict[VertexId, List[Edge]]:
-        inc: Dict[VertexId, List[Edge]] = {v: [] for v in self.part}
-        for e in self.edges:
-            inc[e[0]].append(e)
-            inc[e[1]].append(e)
+    def _incident_positions(self) -> List[List[int]]:
+        """Positions of the incident edges, per vertex position."""
+        inc: List[List[int]] = [[] for _ in self._vertices]
+        for e, (a, b) in enumerate(zip(self._eu, self._ev)):
+            inc[a].append(e)
+            inc[b].append(e)
         return inc
 
+    def incident(self) -> Dict[VertexId, List[Edge]]:
+        edges = self._edge_list
+        inc = self._incident_positions()
+        return {v: [edges[e] for e in es] for v, es in zip(self._vertices, inc)}
+
+    def _position(self, v: VertexId) -> int:
+        """Index of v in the sorted vertex list; KeyError if absent."""
+        i = bisect_left(self._vertices, v)
+        if i == len(self._vertices) or self._vertices[i] != v:
+            raise KeyError(v)
+        return i
+
     def degree(self, v: VertexId) -> int:
-        return len(self.index.adj[self.index.of[v]])
+        return len(self.index.adj[self._position(v)])
 
     @cached_property
     def index(self) -> GraphIndex:
         """One BFS over one integer adjacency, started from each unvisited
         vertex in sorted order: components and bipartiteness."""
-        verts = self.vertices()
-        of = {v: i for i, v in enumerate(verts)}
-        adj: List[List[int]] = [[] for _ in verts]
-        for a, b in self.edges:
-            ia, ib = of[a], of[b]
-            adj[ia].append(ib)
-            adj[ib].append(ia)
-        comp = [-1] * len(verts)
-        side = [0] * len(verts)
+        n = len(self._vertices)
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for a, b in zip(self._eu, self._ev):
+            adj[a].append(b)
+            adj[b].append(a)
+        comp = [-1] * n
+        side = [0] * n
         count, bipartite = 0, True
-        for start in range(len(verts)):
+        for start in range(n):
             if comp[start] >= 0:
                 continue
             comp[start] = count
@@ -172,13 +256,15 @@ class LabeledGraph:
                     elif side[w] == side[v]:
                         bipartite = False
             count += 1
-        return GraphIndex(verts, of, adj, comp, count, bipartite)
+        return GraphIndex(adj, comp, count, bipartite)
 
     def check_tripartite(self) -> None:
-        for a, b in self.edges:
-            if self.part[a] == self.part[b]:
+        part = self._part
+        for a, b in zip(self._eu, self._ev):
+            if part[a] == part[b]:
+                vs = self._vertices
                 raise GraphError(
-                    f"edge ({a}, {b}) joins two part-{self.part[a]} vertices"
+                    f"edge ({vs[a]}, {vs[b]}) joins two part-{part[a]} vertices"
                 )
 
 
@@ -195,40 +281,47 @@ class ColorReport:
     chi_la_bracket: Tuple[int, Optional[int]]
 
 
+def _sums(g: LabeledGraph) -> List[int]:
+    """Incident-label sum per vertex position. Requires a fully labeled graph."""
+    if None in g._label:
+        e = g._label.index(None)
+        vs = g._vertices
+        raise GraphError(f"unlabeled edge ({vs[g._eu[e]]}, {vs[g._ev[e]]})")
+    sums = [0] * len(g._vertices)
+    for a, b, lab in zip(g._eu, g._ev, g._label):
+        sums[a] += lab
+        sums[b] += lab
+    return sums
+
+
 def induced_colors(g: LabeledGraph) -> Dict[VertexId, int]:
     """Incident-label sum per vertex. Requires a fully labeled graph."""
-    missing = sorted(e for e in g.edges if e not in g.labels)
-    if missing:
-        a, b = missing[0]
-        raise GraphError(f"unlabeled edge ({a}, {b})")
-    colors = {v: 0 for v in g.part}
-    for (a, b), lab in g.labels.items():
-        colors[a] += lab
-        colors[b] += lab
-    return colors
+    return dict(zip(g._vertices, _sums(g)))
 
 
-def _bijection_failures(g: LabeledGraph) -> List[int]:
+def _bijection_failures(labels: List[int]) -> List[int]:
     """Labels that are duplicated or outside [1, q]."""
-    counts = Counter(g.labels.values())
-    return sorted(lab for lab, n in counts.items() if n > 1 or not 1 <= lab <= g.q)
+    q = len(labels)
+    counts = Counter(labels)
+    return sorted(lab for lab, n in counts.items() if n > 1 or not 1 <= lab <= q)
 
 
 def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
     """Full check: edge labels form a bijection onto [1,q] and adjacent
     vertices get distinct incident-label sums."""
-    colors = induced_colors(g)
-    bad = _bijection_failures(g)
-    bijection_ok = not bad and len(g.labels) == g.q
-    conflicts = sorted(
-        (a, b) for a, b in g.edges if colors[a] == colors[b]
-    )
-    distinct = sorted(set(colors.values()))
+    sums = _sums(g)
+    bad = _bijection_failures(g._label)
+    bijection_ok = not bad
+    vs = g._vertices
+    conflicts = [
+        (vs[a], vs[b]) for a, b in zip(g._eu, g._ev) if sums[a] == sums[b]
+    ]
+    distinct = sorted(set(sums))
     ok = bijection_ok and not conflicts
     chi_lower = chromatic_lower_bound(g)
     bracket = (chi_lower, len(distinct) if ok else None)
     return ColorReport(
-        color_of=colors,
+        color_of=dict(zip(vs, sums)),
         distinct_colors=distinct,
         c_f=len(distinct),
         is_local_antimagic=ok,
@@ -243,7 +336,7 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
 def chromatic_lower_bound(g: LabeledGraph) -> int:
     """Chromatic number within the {1,2,3} bracket: 1 if edgeless, 2 if
     bipartite with an edge, else 3 certified by the stored tripartition."""
-    if not g.edges:
+    if not g.q:
         return 1
     if g.index.bipartite:
         return 2
@@ -262,4 +355,4 @@ def graph_stats(
 
 def components_of(g: LabeledGraph) -> Dict[VertexId, int]:
     """Component index per vertex, numbered by smallest contained vertex."""
-    return dict(zip(g.index.vertices, g.index.component))
+    return dict(zip(g._vertices, g.index.component))

@@ -26,14 +26,22 @@ def _dumps(obj) -> str:
 
 # ---------------------------------------------------------------- graphs
 
+def _names(g: LabeledGraph) -> List[str]:
+    """str() of each vertex, by position."""
+    return list(map(str, g._vertices))
+
+
+def _labeled_edges(g: LabeledGraph):
+    """(u name, v name, label or None) per edge, in sorted order."""
+    names = _names(g)
+    return [(names[a], names[b], lab) for a, b, lab in zip(g._eu, g._ev, g._label)]
+
+
 def graph_to_json(g: LabeledGraph) -> str:
-    vertices = [
-        {"id": str(v), "part": g.part[v]} for v in g.vertices()
-    ]
+    vertices = [{"id": v, "part": c} for v, c in zip(_names(g), g._part)]
     edges = []
-    for a, b in g.sorted_edges():
-        item: Dict[str, object] = {"u": str(a), "v": str(b)}
-        lab = g.labels.get((a, b))
+    for a, b, lab in _labeled_edges(g):
+        item: Dict[str, object] = {"u": a, "v": b}
         if lab is not None:
             item["label"] = lab
         edges.append(item)
@@ -74,15 +82,20 @@ def graph_from_json(text: str) -> LabeledGraph:
     try:
         _check_version(data)
         part: Dict[VertexId, int] = {}
+        ids: Dict[str, VertexId] = {}  # each listed id is parsed once
         for item in data["vertices"]:
-            v = VertexId.parse(item["id"])
+            v = ids[item["id"]] = VertexId.parse(item["id"])
             if v in part:
                 raise ParseError(f"vertex {v} listed twice")
             part[v] = _int(item, "part")
+
+        def vertex(s: object) -> VertexId:
+            return ids[s] if type(s) is str and s in ids else VertexId.parse(s)
+
         edges = set()
         labels: Dict[Edge, int] = {}
         for item in data["edges"]:
-            e = edge(VertexId.parse(item["u"]), VertexId.parse(item["v"]))
+            e = edge(vertex(item["u"]), vertex(item["v"]))
             if e in edges:
                 raise ParseError(f"edge ({e[0]}, {e[1]}) listed twice")
             edges.add(e)
@@ -96,12 +109,9 @@ def graph_from_json(text: str) -> LabeledGraph:
 def graph_to_dot(g: LabeledGraph) -> str:
     lines = ["graph G {"]
     fills = {1: "lightblue", 2: "lightpink", 3: "lightgray"}
-    for v in g.vertices():
-        lines.append(
-            f'  "{v}" [label="{v}", fillcolor={fills[g.part[v]]}, style=filled];'
-        )
-    for a, b in g.sorted_edges():
-        lab = g.labels.get((a, b))
+    for v, c in zip(_names(g), g._part):
+        lines.append(f'  "{v}" [label="{v}", fillcolor={fills[c]}, style=filled];')
+    for a, b, lab in _labeled_edges(g):
         attr = f' [label="{lab}"]' if lab is not None else ""
         lines.append(f'  "{a}" -- "{b}"{attr};')
     lines.append("}")
@@ -112,8 +122,7 @@ def graph_to_graph6(g: LabeledGraph) -> str:
     """graph6 line for the unlabeled simple graph; vertices numbered in
     sorted structural order.  Labels are dropped (format limitation);
     pair with labels_sidecar() to keep them."""
-    index = g.index.of
-    n = len(index)
+    n = len(g._vertices)
     if n <= 62:
         size = [n]
     elif n <= 258047:
@@ -124,8 +133,7 @@ def graph_to_graph6(g: LabeledGraph) -> str:
     # triangle column by column, six bits per character from the high bit,
     # plus 63 ("?").  Edges are distinct, so adding sets each bit once.
     data = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
-    for a, b in g.edges:
-        i, j = index[a], index[b]
+    for i, j in zip(g._eu, g._ev):
         bit = i + j * (j - 1) // 2
         data[bit // 6] += 32 >> bit % 6
     return (bytes(d + 63 for d in size) + data).decode("ascii") + "\n"
@@ -133,11 +141,7 @@ def graph_to_graph6(g: LabeledGraph) -> str:
 
 def labels_sidecar(g: LabeledGraph) -> str:
     """One 'u v label' line per labeled edge, in sorted edge order."""
-    lines = []
-    for a, b in g.sorted_edges():
-        lab = g.labels.get((a, b))
-        if lab is not None:
-            lines.append(f"{a} {b} {lab}")
+    lines = [f"{a} {b} {lab}" for a, b, lab in _labeled_edges(g) if lab is not None]
     return "\n".join(lines) + "\n"
 
 

@@ -32,14 +32,19 @@ class OracleResult:
     valid_labelings: int
 
 
-def _edge_order(g: LabeledGraph) -> List[Edge]:
-    """Edges by decreasing endpoint degree, ties broken structurally;
-    front-loads saturation so pruning cuts early."""
-    deg = {v: g.degree(v) for v in g.part}
+def _search_order(g: LabeledGraph) -> List[int]:
+    """Edge positions by decreasing endpoint degree, ties broken
+    structurally; front-loads saturation so pruning cuts early."""
+    deg = list(map(len, g.index.adj))
+    ends = [(deg[a], deg[b]) for a, b in zip(g._eu, g._ev)]
     return sorted(
-        g.sorted_edges(),
-        key=lambda e: (-max(deg[e[0]], deg[e[1]]), -min(deg[e[0]], deg[e[1]]), e),
+        range(g.q), key=lambda e: (-max(ends[e]), -min(ends[e]), e)
     )
+
+
+def _edge_order(g: LabeledGraph) -> List[Edge]:
+    """The edges in search order."""
+    return [g._edge_list[e] for e in _search_order(g)]
 
 
 def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
@@ -49,17 +54,16 @@ def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
     A vertex saturates at the last position that touches it, and an edge
     (a, b) can first be checked once both ends are saturated, so it goes
     into checks[max(last[a], last[b])]."""
-    of = g.index.of
-    order = _edge_order(g)
-    eu = [of[a] for a, _ in order]
-    ev = [of[b] for _, b in order]
-    last = [-1] * len(g.index.adj)
+    order = _search_order(g)
+    eu = [g._eu[e] for e in order]
+    ev = [g._ev[e] for e in order]
+    last = [-1] * len(g._vertices)
     for pos, (a, b) in enumerate(zip(eu, ev)):
         last[a] = last[b] = pos
     checks: List[List[Tuple[int, int]]] = [[] for _ in order]
     for a, b in zip(eu, ev):
         checks[max(last[a], last[b])].append((a, b))
-    return order, (eu, ev, checks, len(order), len(last))
+    return [g._edge_list[e] for e in order], (eu, ev, checks, len(order), len(last))
 
 
 def exhaustive_chi_la(
@@ -91,8 +95,8 @@ def exhaustive_chi_la(
 def _plain_valid(g: LabeledGraph) -> bool:
     """Validity check written independently of the main verifier."""
     q = len(g.edges)
-    labs = sorted(g.labels.get(e) for e in g.edges)
-    if None in labs or labs != list(range(1, q + 1)):
+    labs = [g.labels.get(e) for e in g.edges]
+    if None in labs or sorted(labs) != list(range(1, q + 1)):
         return False
     sums: Dict[VertexId, int] = {}
     for (a, b), lab in g.labels.items():

@@ -81,6 +81,14 @@ def test_crossing_twice_rejected(g45, g433):
         apply_crossing(g433, FamilyParams(Family.M2, 2, 4, (1, 1)))
 
 
+def test_stages_reject_a_graph_of_another_layout():
+    base = build_base_graph(build_matrix(FamilyParams(Family.M2, 2, 4)))
+    with pytest.raises(ConstructionError, match="not the base graph"):
+        apply_crossing(base, FamilyParams(Family.M2, 2, 3))
+    with pytest.raises(ConstructionError, match="not the crossed graph"):
+        apply_merge(base, FamilyParams(Family.M2, 2, 4, (1, 1)))
+
+
 def test_crossing_preserves_labels_and_uv_colors():
     params = FamilyParams(Family.M2, 3, 2)
     base = build_base_graph(build_matrix(params))
@@ -274,3 +282,66 @@ def test_bad_swap_in_sequence_names_index(g433):
         build_family(
             FamilyParams(Family.M2, 2, 4, (1, 1)), "merged", swaps=[move, move]
         )
+
+
+# Move counts per greedy step (enumerate, apply the first move, repeat),
+# copied as literals from the benchmark's pinned table.
+PINNED_FIRST_STEPS = {
+    (Family.M2, 1, 1, 1): (98,),
+    (Family.M2, 1, 2, 1): (446, 168),
+    (Family.M2, 1, 1, 2): (426,),
+    (Family.M2, 2, 1, 1): (382,),
+    (Family.M2, 2, 2, 1): (1838, 704),
+    (Family.M2, 2, 1, 2): (1664,),
+    (Family.M3, 1, 1, 1): (348,),
+    (Family.M3, 1, 2, 1): (1386, 636),
+    (Family.M3, 1, 1, 2): (1572,),
+    (Family.M3, 2, 1, 1): (960,),
+    (Family.M3, 2, 2, 1): (3830, 1820),
+    (Family.M3, 2, 1, 2): (4320,),
+}
+
+
+def counted_connecting_swaps(g):
+    """sum over eligible center pairs and shared label sums s of
+    |A_s| * |B_s|, from incident() and labels alone; components by
+    union-find."""
+    inc = g.incident()
+    root = {v: v for v in inc}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in g.edges:
+        root[find(a)] = find(b)
+    by_sum = {}
+    for c, es in inc.items():
+        sums = by_sum[c] = {}
+        for i, e1 in enumerate(es):
+            for e2 in es[i + 1 :]:
+                s = g.labels[e1] + g.labels[e2]
+                sums[s] = sums.get(s, 0) + 1
+    centers = [v for v in inc if g.part[v] == 3]
+    total = 0
+    for ca in centers:
+        for cb in centers:
+            if ca < cb and find(ca) != find(cb) and len(inc[ca]) == len(inc[cb]):
+                a, b = by_sum[ca], by_sum[cb]
+                total += sum(a[s] * b[s] for s in a.keys() & b.keys())
+    return total
+
+
+@pytest.mark.parametrize("fam, n, r, s", sorted(PINNED_FIRST_STEPS, key=str))
+def test_connecting_swap_counts_are_pinned(fam, n, r, s):
+    k = ((2 * r + 1) * (2 * s + 1) - 1) // 2
+    g = build_family(FamilyParams(fam, n, k, (r, s)), "merged")
+    counts = []
+    for _ in range(r):
+        moves = list(iter_connecting_swaps(g))
+        assert len(moves) == counted_connecting_swaps(g)
+        counts.append(len(moves))
+        g = apply_swap(g, moves[0])
+    assert tuple(counts) == PINNED_FIRST_STEPS[fam, n, r, s]
+    assert graph_stats(g)[0] == 1

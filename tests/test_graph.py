@@ -10,6 +10,7 @@ from localantimagic import (
     LabeledGraph,
     Role,
     VertexId,
+    apply_swap,
     book_graph,
     build_family,
     chromatic_lower_bound,
@@ -279,3 +280,41 @@ def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     assert sorted((max(last[a], last[b]), (of[a], of[b])) for a, b in order) == sorted(
         (pos, pair) for pos, pairs in enumerate(checks) for pair in pairs
     )
+
+
+def _swapped(params):
+    g = build_family(params, "merged")
+    return apply_swap(g, next(iter_connecting_swaps(g)))
+
+
+VIEWED = [
+    build_family(FamilyParams(Family.M2, 2, 3), "crossed"),
+    build_family(FamilyParams(Family.M3, 1, 4, (1, 1)), "merged"),
+    _swapped(FamilyParams(Family.M2, 1, 7, (2, 1))),
+    _swapped(FamilyParams(Family.M3, 2, 4, (1, 1))),
+]
+
+
+@pytest.mark.parametrize("g", VIEWED)
+def test_array_built_graph_equals_its_dict_and_json_copies(g):
+    assert g == io.graph_from_json(io.graph_to_json(g))
+    copy = LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=dict(g.labels))
+    assert g == copy and copy == g
+    assert set(g.labels) == g.edges
+    assert sorted(g.part) == g.vertices()
+    assert g.sorted_edges() == sorted(g.edges)
+    e = g.sorted_edges()[0]
+    changed = dict(g.labels)
+    changed[e] += g.q
+    assert g != LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=changed)
+
+
+def test_views_are_read_only(g45):
+    with pytest.raises(TypeError):
+        g45.part[VertexId(Role.U, 1)] = 2
+    with pytest.raises(TypeError):
+        g45.labels[g45.sorted_edges()[0]] = 1
+    with pytest.raises(AttributeError):
+        g45.edges.add(g45.sorted_edges()[0])
+    with pytest.raises(AttributeError):
+        g45.labels = {}

@@ -15,7 +15,7 @@ from localantimagic import (
     path_p2,
     verify_local_antimagic,
 )
-from localantimagic.oracle import BudgetError, _edge_order
+from localantimagic.oracle import BudgetError, _edge_order, _plain_valid
 
 
 def test_k3():
@@ -200,3 +200,11 @@ def test_cross_check_random_samples():
         labels=dict(zip(order, rng.sample(range(1, 7), 6))),
     )
     assert cross_check(labeled, samples=50, seed=1)
+
+
+def test_plain_valid_is_false_on_partly_labeled_graphs():
+    g = book_graph(1, 1)
+    assert not _plain_valid(g)
+    first = g.sorted_edges()[0]
+    one = LabeledGraph(part=dict(g.part), edges=set(g.edges), labels={first: 1})
+    assert not _plain_valid(one)
