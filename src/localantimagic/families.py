@@ -34,14 +34,15 @@ def _layout(params: FamilyParams, crossed: bool) -> list:
     block of u_{2k+2-i}."""
     k, m, c = params.k, params.leaves_per_copy, params.copies
     leaf = range(1, m + 1)
+    x = Role.X  # a local: each Role.X lookup costs about as much as a tuple
     if crossed:
-        leaves = [(Role.X, k + 1, j) for j in leaf]
+        leaves = [(x, k + 1, j) for j in leaf]
         leaves += [(role, i, j) for role in (Role.Y, Role.Z)
                    for i in range(1, k + 1) for j in leaf]
         u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
         v_block = u_block[::-1]
     else:
-        leaves = [(Role.X, i, j) for i in range(1, c + 1) for j in leaf]
+        leaves = [(x, i, j) for i in range(1, c + 1) for j in leaf]
         u_block = v_block = range(c)
     vertices = [(role, i, 0) for role in (Role.U, Role.V) for i in range(1, c + 1)]
     eu: List[int] = []
@@ -148,16 +149,20 @@ class SwapError(Exception):
     pass
 
 
+def _slot(eu: List[int], ev: List[int], a: int, b: int) -> int:
+    """Where edge (a, b) is, or would go, in the sorted arrays eu, ev."""
+    lo = bisect_left(eu, a)
+    return bisect_left(ev, b, lo, bisect_right(eu, a, lo))
+
+
 def _edge_at(g: LabeledGraph, e: Edge) -> Optional[int]:
     """Position of edge e in g's sorted edge arrays, or None."""
     try:
         a, b = g._position(e[0]), g._position(e[1])
     except KeyError:
         return None
-    lo = bisect_left(g._eu, a)
-    hi = bisect_right(g._eu, a, lo)
-    i = bisect_left(g._ev, b, lo, hi)
-    return i if i < hi and g._ev[i] == b else None
+    i = _slot(g._eu, g._ev, a, b)
+    return i if i < g.q and (g._eu[i], g._ev[i]) == (a, b) else None
 
 
 def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
@@ -192,11 +197,12 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
     def part(v: VertexId) -> int:
         return g._part[g._position(v)]
 
+    part_a, part_b = part(move.center_a), part(move.center_b)
     for w in fa:
-        if part(w) == part(move.center_b):
+        if part(w) == part_b:
             raise SwapError(f"{w} shares a part with {move.center_b}")
     for w in fb:
-        if part(w) == part(move.center_a):
+        if part(w) == part_a:
             raise SwapError(f"{w} shares a part with {move.center_a}")
     if fa[0] == fa[1] or fb[0] == fb[1]:
         raise SwapError("pair edges share a far endpoint")
@@ -212,23 +218,22 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
 
 def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
     """Re-home pair_a's edges to center_b and pair_b's to center_a, each
-    keeping its label and far endpoint; then re-sort the edge arrays."""
+    keeping its label and far endpoint, at their new sorted positions."""
     pos = _validate_swap(g, move)
-    eu, ev = list(g._eu), list(g._ev)
     ca, cb = g._position(move.center_a), g._position(move.center_b)
+    moved = []
     for p, old, new in zip(pos, (ca, ca, cb, cb), (cb, cb, ca, ca)):
-        far = eu[p] ^ ev[p] ^ old
-        eu[p], ev[p] = min(far, new), max(far, new)
-    n = len(g._vertices)
-    keys = [a * n + b for a, b in zip(eu, ev)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return LabeledGraph._from_arrays(
-        g._vertices,
-        g._part,
-        [eu[e] for e in order],
-        [ev[e] for e in order],
-        [g._label[e] for e in order],
-    )
+        far = g._eu[p] ^ g._ev[p] ^ old
+        moved.append((min(far, new), max(far, new), g._label[p]))
+    eu, ev, label = list(g._eu), list(g._ev), list(g._label)
+    for p in sorted(pos, reverse=True):
+        del eu[p], ev[p], label[p]
+    for a, b, lab in moved:
+        i = _slot(eu, ev, a, b)
+        eu.insert(i, a)
+        ev.insert(i, b)
+        label.insert(i, lab)
+    return LabeledGraph._from_arrays(g._vertices, g._part, eu, ev, label)
 
 
 def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
@@ -246,9 +251,10 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
     g.check_tripartite()
     label, edges, inc = g._label, g._edge_list, g._incident_positions()
     centers = [c for c, cls in enumerate(g._part) if cls == 3]
-    # Per center: its incident edge pairs as (label sum, (edge, edge)), the
-    # edges of a pair and the pairs in increasing label order, and the
-    # pairs again grouped by label sum.
+    # Per center: the pairs of its incident edges as (label sum, (edge,
+    # edge)), each pair in label order; made from the edges in label order,
+    # the pairs come in (smaller, larger label) order.  Then the same pairs
+    # grouped by label sum.
     pairs: Dict[int, List[Tuple[int, Tuple[Edge, Edge]]]] = {}
     by_sum: Dict[int, Dict[int, List[Tuple[Edge, Edge]]]] = {}
     for c in centers:
@@ -262,7 +268,7 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
         for s, pair in seq:
             groups.setdefault(s, []).append(pair)
     comp, vs = g.index.component, g._vertices
-    new = tuple.__new__
+    new = tuple.__new__  # a SwapMove without the Python-level call of SwapMove()
 
     def per_center_pair():
         for ai, ca in enumerate(centers):
@@ -270,8 +276,8 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
             for cb in centers[ai + 1 :]:
                 if comp[ca] == comp[cb] or len(inc[ca]) != len(inc[cb]):
                     continue
-                # pair_a in label order, then pair_b in label order: a
-                # pair's labels decide its sum, so this is (labels_a, labels_b)
+                # each pair_a in order, with the pair_bs of its label sum in
+                # order: the moves in (labels_a, labels_b) order
                 groups, vb = by_sum[cb], vs[cb]
                 yield [
                     new(SwapMove, (va, vb, pa, pb))

@@ -105,10 +105,12 @@ class LabeledGraph:
     Stored as int arrays: `_vertices` is the sorted vertex list, `_part[i]`
     the class of vertex i, and edge e (in sorted order) joins vertices
     `_eu[e] < _ev[e]` with label `_label[e]` (None when unlabeled).
-    `LabeledGraph(part=, edges=, labels=)` validates dict input;
-    transforms build through `_from_arrays`, which checks the same
-    invariants in int form.  `part`, `edges` and `labels` are read-only
-    views, built on first read.  Immutable: transforms return new graphs.
+    The package's stages, verifier, swap enumeration, emitters and oracle
+    read these arrays directly.  `LabeledGraph(part=, edges=, labels=)`
+    validates dict input; transforms build through `_from_arrays`, which
+    checks the same invariants in int form.  `part`, `edges` and `labels`
+    are read-only views, built on first read.  Immutable: transforms
+    return new graphs.
     """
 
     def __init__(self, part: Mapping[VertexId, int], edges: AbstractSet[Edge],
@@ -140,6 +142,7 @@ class LabeledGraph:
         return g
 
     def _set(self, vertices, part, eu, ev, label) -> None:
+        """Check the invariants in int form, then store the arrays."""
         n = len(vertices)
         if not len(part) == n or not len(eu) == len(ev) == len(label):
             raise GraphError("vertex or edge arrays differ in length")
@@ -151,8 +154,8 @@ class LabeledGraph:
             raise GraphError("edge endpoint outside vertex set")
         if not all(map(lt, eu, ev)):
             raise GraphError("edge not normalized")
-        keys = [a * n + b for a, b in zip(eu, ev)]
-        if not all(map(lt, keys, islice(keys, 1, None))):
+        after = zip(islice(eu, 1, None), islice(ev, 1, None))
+        if not all(map(lt, zip(eu, ev), after)):
             raise GraphError("edges not sorted, or listed twice")
         self.__dict__.update(
             _vertices=vertices, _part=part, _eu=eu, _ev=ev, _label=label
