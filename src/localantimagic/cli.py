@@ -5,7 +5,6 @@ input (parameters, files, paths), always with an `error:` line on stderr.
 """
 from __future__ import annotations
 
-import json
 import sys
 from typing import List, Optional
 
@@ -221,7 +220,7 @@ def oracle(
         "labelings_tried": result.labelings_tried,
         "valid_labelings": result.valid_labelings,
     }
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    _write(io._dumps(payload), out)
     if result.chi_la is None:
         click.echo("no local antimagic labeling", err=True)
 

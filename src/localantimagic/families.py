@@ -14,16 +14,9 @@ class ConstructionError(Exception):
     pass
 
 
-def _vertex_ids(fields: List[tuple]) -> List[VertexId]:
-    """VertexIds from (role, copy, leaf) tuples that are valid by
-    construction, without re-validating each."""
-    new = tuple.__new__
-    return [new(VertexId, f) for f in fields]
-
-
-def _layout(params: FamilyParams, crossed: bool) -> list:
-    """[vertex field tuples, classes, eu, ev] of the base graph of params
-    (crossed: of its crossing), all in sorted order.
+def _layout(params: FamilyParams, stage: str) -> list:
+    """[vertex field tuples, classes, eu, ev] of the given stage of params,
+    all in sorted order.
 
     The vertices are u_1..u_c, v_1..v_c, then the leaves in blocks of m.
     The edges are u_i v_i and u_i's leaf edges, copy by copy, then v_i's
@@ -31,19 +24,35 @@ def _layout(params: FamilyParams, crossed: bool) -> list:
     graph copy i has its own block x_i on both sides.  In the crossed graph
     the blocks are x_{k+1}, y_1..y_k, z_1..z_k: u_i is joined to y_i
     (i <= k), x_{k+1} (i = k+1) or z_{2k+2-i} (i >= k+2), and v_i to the
-    block of u_{2k+2-i}."""
+    block of u_{2k+2-i}.  The merged graph joins each vertex to the merged
+    block of its crossed one (see apply_merge)."""
     k, m, c = params.k, params.leaves_per_copy, params.copies
     leaf = range(1, m + 1)
     x = Role.X  # a local: each Role.X lookup costs about as much as a tuple
-    if crossed:
-        leaves = [(x, k + 1, j) for j in leaf]
-        leaves += [(role, i, j) for role in (Role.Y, Role.Z)
-                   for i in range(1, k + 1) for j in leaf]
-        u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
-        v_block = u_block[::-1]
-    else:
+    if stage == "base":
         leaves = [(x, i, j) for i in range(1, c + 1) for j in leaf]
         u_block = v_block = range(c)
+    else:
+        u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
+        if stage == "crossed":
+            leaves = [(x, k + 1, j) for j in leaf]
+            leaves += [(role, i, j) for role in (Role.Y, Role.Z)
+                       for i in range(1, k + 1) for j in leaf]
+        else:
+            if params.factorization is None:
+                raise ParamError("merge requires a factorization (r, s)")
+            r, s = params.factorization
+            block = 2 * s + 1
+            leaves = [(role, t * block + 1, j) for role in (Role.MY, Role.MZ)
+                      for t in range(r) for j in leaf]
+            leaves += [(Role.MX, k + 1, j) for j in leaf]
+            # merged block of each crossed one (x, y_1..y_k, z_1..z_k),
+            # where the merged blocks are my_1..my_r, mz_1..mz_r, mx
+            runs = [(b - 1) // block for b in range(1, k + 1)]
+            into = [2 * r] + [t if t < r else 2 * r for t in runs]
+            into += [r + t if t < r else 2 * r for t in runs]
+            u_block = [into[b] for b in u_block]
+        v_block = u_block[::-1]
     vertices = [(role, i, 0) for role in (Role.U, Role.V) for i in range(1, c + 1)]
     eu: List[int] = []
     ev: List[int] = []
@@ -56,10 +65,26 @@ def _layout(params: FamilyParams, crossed: bool) -> list:
     return [vertices + leaves, [1] * c + [2] * c + [3] * len(leaves), eu, ev]
 
 
-def _require_layout(g: LabeledGraph, params: FamilyParams, crossed: bool) -> None:
-    if [g._vertices, g._part, g._eu, g._ev] != _layout(params, crossed):
-        stage = "crossed" if crossed else "base"
+def _graph(layout: list, label: List[Optional[int]]) -> LabeledGraph:
+    """The graph of a layout; its vertex tuples are valid by construction,
+    so they become VertexIds without re-validating each."""
+    vertices, part, eu, ev = layout
+    new = tuple.__new__
+    ids = [new(VertexId, f) for f in vertices]
+    return LabeledGraph._from_arrays(ids, part, eu, ev, label)
+
+
+def _require_layout(g: LabeledGraph, params: FamilyParams, stage: str) -> None:
+    if [g._vertices, g._part, g._eu, g._ev] != _layout(params, stage):
         raise ConstructionError(f"not the {stage} graph of {params}")
+
+
+def _labels(mat: LabelMatrix) -> List[int]:
+    """The labels in sorted edge order, the same at every stage: copy by
+    copy, column i's uv cell then its ux cells; then, copy by copy, column
+    i's vx cells."""
+    return [*chain.from_iterable(zip(mat.uv, *mat.ux)),
+            *chain.from_iterable(zip(*mat.vx))]
 
 
 def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
@@ -67,14 +92,7 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
 
     u vertices get part 1, v part 2, leaves part 3.
     """
-    vertices, part, eu, ev = _layout(mat.params, crossed=False)
-    label: List[int] = []
-    for uv, ux in zip(mat.uv, zip(*mat.ux)):
-        label.append(uv)
-        label += ux
-    for vx in zip(*mat.vx):
-        label += vx
-    return LabeledGraph._from_arrays(_vertex_ids(vertices), part, eu, ev, label)
+    return _graph(_layout(mat.params, "base"), _labels(mat))
 
 
 def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -87,9 +105,8 @@ def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     """
     if g._vertices and g._vertices[-1].role > Role.X:  # sorted: roles last
         raise ConstructionError("crossing already applied")
-    _require_layout(g, params, crossed=False)
-    vertices, part, eu, ev = _layout(params, crossed=True)
-    return LabeledGraph._from_arrays(_vertex_ids(vertices), part, eu, ev, g._label)
+    _require_layout(g, params, "base")
+    return _graph(_layout(params, "crossed"), g._label)
 
 
 def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -101,26 +118,9 @@ def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     straddles copy k+1, merges with x_{k+1} into MX(k+1).  The merged
     graph has r+1 components.
     """
-    if params.factorization is None:
-        raise ParamError("merge requires a factorization (r, s)")
-    _require_layout(g, params, crossed=True)
-    r, s = params.factorization
-    k, m, c = params.k, params.leaves_per_copy, params.copies
-    block = 2 * s + 1
-    leaves = [(role, t * block + 1, j) for role in (Role.MY, Role.MZ)
-              for t in range(r) for j in range(1, m + 1)]
-    leaves += [(Role.MX, k + 1, j) for j in range(1, m + 1)]
-    # merged leaf block of each crossed one (x, y_1..y_k, z_1..z_k), where
-    # the merged blocks are my_1..my_r, mz_1..mz_r, mx; then each leaf's
-    # new position, leaf j of a block staying leaf j
-    runs = [(b - 1) // block for b in range(1, k + 1)]
-    into = [2 * r] + [t if t < r else 2 * r for t in runs]
-    into += [r + t if t < r else 2 * r for t in runs]
-    target = [*range(2 * c), *(2 * c + b * m + j for b in into for j in range(m))]
-    vertices = g._vertices[: 2 * c] + _vertex_ids(leaves)
-    part = [1] * c + [2] * c + [3] * len(leaves)
-    ev = [target[b] for b in g._ev]
-    return LabeledGraph._from_arrays(vertices, part, g._eu, ev, g._label)
+    merged = _layout(params, "merged")  # ParamError without a factorization
+    _require_layout(g, params, "crossed")
+    return _graph(merged, g._label)
 
 
 class SwapMove(NamedTuple):
@@ -295,17 +295,19 @@ def build_family(
     swaps: Optional[List[SwapMove]] = None,
     mat: Optional[LabelMatrix] = None,
 ) -> LabeledGraph:
-    """Convenience pipeline: matrix -> base -> crossed [-> merged] [-> swaps].
+    """The given stage of params, then `swaps` applied in order.
 
+    Builds the stage directly from the matrix's labels and that stage's
+    layout; it equals the chain matrix -> base -> crossed [-> merged].
     Pass `mat`, the label matrix of `params`, when the caller has it already.
     """
     if stage not in ("base", "crossed", "merged"):
         raise ParamError(f"unknown stage {stage!r}")
-    g = build_base_graph(build_matrix(params) if mat is None else mat)
-    if stage != "base":
-        g = apply_crossing(g, params)
-    if stage == "merged":
-        g = apply_merge(g, params)
+    if mat is None:
+        mat = build_matrix(params)
+    elif mat.params != params:
+        raise ParamError(f"mat is the matrix of {mat.params}, not of {params}")
+    g = _graph(_layout(params, stage), _labels(mat))
     for idx, move in enumerate(swaps or []):
         try:
             g = apply_swap(g, move)

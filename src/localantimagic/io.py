@@ -37,17 +37,28 @@ def _labeled_edges(g: LabeledGraph):
     return [(names[a], names[b], lab) for a, b, lab in zip(g._eu, g._ev, g._label)]
 
 
+def _json_list(items: List[str]) -> str:
+    """A JSON list of already indented items, in json.dumps(indent=2)'s
+    layout one level down."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def graph_to_json(g: LabeledGraph) -> str:
-    vertices = [{"id": v, "part": c} for v, c in zip(_names(g), g._part)]
-    edges = []
-    for a, b, lab in _labeled_edges(g):
-        item: Dict[str, object] = {"u": a, "v": b}
-        if lab is not None:
-            item["label"] = lab
-        edges.append(item)
-    return _dumps(
-        {"format_version": FORMAT_VERSION, "vertices": vertices, "edges": edges}
-    )
+    """The graph as json.dumps(..., indent=2) would print it, written
+    directly: with indent, the json module falls back to its pure-Python
+    encoder.  Vertex names are canonical ids ([a-z]+:[0-9]+:[0-9]+) and
+    parts and labels are ints, so nothing needs escaping."""
+    names = _names(g)
+    vertices = [f'    {{\n      "id": "{v}",\n      "part": {c}\n    }}'
+                for v, c in zip(names, g._part)]
+    edges = [
+        f'    {{\n      "u": "{names[a]}",\n      "v": "{names[b]}"'
+        + ("\n    }" if lab is None else f',\n      "label": {lab}\n    }}')
+        for a, b, lab in zip(g._eu, g._ev, g._label)
+    ]
+    return (f'{{\n  "format_version": {FORMAT_VERSION},\n'
+            f'  "vertices": {_json_list(vertices)},\n'
+            f'  "edges": {_json_list(edges)}\n}}\n')
 
 
 def _load(text: str):

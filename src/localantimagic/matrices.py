@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import List, Optional, Tuple
 
 
@@ -130,14 +131,26 @@ def _cell_m3(n: int, k: int, role: Tuple[str, int], i: int) -> int:
     return t + 8 * k + 5 - i
 
 
+def _row(cell, n: int, k: int, name: Tuple[str, int]) -> List[int]:
+    """[cell(n, k, name, i) for i in 1..2k+1] from about five calls.
+
+    Every row is affine in i, with a nonzero slope, on each of the regimes
+    i <= k, i = k+1 and i >= k+2, so the first two points of a regime fix
+    the rest of it.
+    """
+    row: List[int] = []
+    for lo, hi in ((1, k), (k + 1, k + 1), (k + 2, 2 * k + 1)):
+        a = cell(n, k, name, lo)
+        d = cell(n, k, name, lo + 1) - a if hi > lo else 1
+        row += range(a, a + d * (hi - lo + 1), d)
+    return row
+
+
 def build_matrix(params: FamilyParams) -> LabelMatrix:
     cell = _cell_m2 if params.family is Family.M2 else _cell_m3
     n, k, m = params.n, params.k, params.leaves_per_copy
-    rows = [
-        [cell(n, k, name, i) for i in range(1, params.copies + 1)]
-        for name in row_names(params)
-    ]
-    if sorted(v for row in rows for v in row) != list(range(1, params.q + 1)):
+    rows = [_row(cell, n, k, name) for name in row_names(params)]
+    if sorted(chain.from_iterable(rows)) != list(range(1, params.q + 1)):
         raise AssertionError(
             f"matrix cells are not a bijection onto [1, {params.q}] "
             f"for {params}"

@@ -2,7 +2,6 @@
 every instance against the closed-form predictions."""
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from .matrices import (
     build_matrix,
     matrix_column_sums,
 )
-from .io import FORMAT_VERSION, params_to_json
+from .io import FORMAT_VERSION, _dumps, params_to_json
 
 
 @dataclass
@@ -153,46 +152,22 @@ def grid_cells(
 ) -> List[Tuple[FamilyParams, str]]:
     """Crossed cells over n x k; if rs_range is given, merged cells over
     n x r x s instead (k is forced by (2r+1)(2s+1) = 2k+1)."""
-    cells: List[Tuple[FamilyParams, str]] = []
     if rs_range is None:
-        for fam in families:
-            for n in n_range:
-                for k in k_range:
-                    cells.append((FamilyParams(fam, n, k), "crossed"))
-        return cells
-    for fam in families:
-        for n in n_range:
-            for r in rs_range:
-                for s in rs_range:
-                    k = ((2 * r + 1) * (2 * s + 1) - 1) // 2
-                    cells.append((FamilyParams(fam, n, k, (r, s)), "merged"))
-    return cells
+        return [(FamilyParams(fam, n, k), "crossed")
+                for fam in families for n in n_range for k in k_range]
+    return [(FamilyParams(fam, n, 2 * r * s + r + s, (r, s)), "merged")
+            for fam in families for n in n_range for r in rs_range for s in rs_range]
 
 
 def report_to_json(report: SweepReport) -> str:
-    cells = []
-    for c in report.cells:
-        item = params_to_json(c.params)
-        item.update(
-            {
-                "stage": c.stage,
-                "verified": c.verified,
-                "colors": list(c.colors),
-                "components": c.components,
-                "regular": c.regular,
-                "runtime_ms": c.runtime_ms,
-                "failures": c.failures,
-            }
-        )
-        cells.append(item)
-    return (
-        json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "grid": cells,
-                "summary": {"pass": report.passed, "fail": report.failed},
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    cells = [
+        {**params_to_json(c.params), "stage": c.stage, "verified": c.verified,
+         "colors": list(c.colors), "components": c.components,
+         "regular": c.regular, "runtime_ms": c.runtime_ms, "failures": c.failures}
+        for c in report.cells
+    ]
+    return _dumps({
+        "format_version": FORMAT_VERSION,
+        "grid": cells,
+        "summary": {"pass": report.passed, "fail": report.failed},
+    })

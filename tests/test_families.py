@@ -74,6 +74,40 @@ def test_crossing_component_count():
             assert graph_stats(g)[0] == k + 1
 
 
+CHAIN_CELLS = [
+    (FamilyParams(fam, n, k), "crossed")
+    for fam in (Family.M2, Family.M3) for n in range(1, 5) for k in range(1, 7)
+] + [
+    (FamilyParams(fam, n, 2 * r * s + r + s, (r, s)), "merged")
+    for fam in (Family.M2, Family.M3) for n in range(1, 5)
+    for r in range(1, 4) for s in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("params,stage", CHAIN_CELLS)
+def test_build_family_equals_the_staged_chain(params, stage):
+    g = build_base_graph(build_matrix(params))
+    assert build_family(params, "base") == g
+    g = apply_crossing(g, params)
+    assert build_family(params, "crossed") == g
+    if stage == "merged":
+        assert build_family(params, "merged") == apply_merge(g, params)
+
+
+@pytest.mark.parametrize("stage", ["base", "crossed", "merged"])
+def test_build_family_rejects_the_matrix_of_other_params(stage):
+    params = FamilyParams(Family.M2, 2, 4, (1, 1))
+    for other in (FamilyParams(Family.M2, 2, 4), FamilyParams(Family.M2, 3, 4, (1, 1)),
+                  FamilyParams(Family.M3, 2, 4, (1, 1))):
+        with pytest.raises(ParamError, match="not of"):
+            build_family(params, stage, mat=build_matrix(other))
+
+
+def test_build_family_merged_requires_factorization():
+    with pytest.raises(ParamError, match="factorization"):
+        build_family(FamilyParams(Family.M2, 2, 4), "merged")
+
+
 def test_crossing_twice_rejected(g45, g433):
     with pytest.raises(ConstructionError, match="already applied"):
         apply_crossing(g45, FamilyParams(Family.M2, 2, 4))

@@ -7,6 +7,9 @@ from click.testing import CliRunner
 from localantimagic import (
     Family,
     FamilyParams,
+    LabeledGraph,
+    Role,
+    VertexId,
     build_family,
     build_matrix,
     graph_stats,
@@ -35,6 +38,38 @@ def test_graph_json_round_trip_merged(g533):
     assert g.part == g533.part
     assert g.edges == g533.edges
     assert g.labels == g533.labels
+
+
+def _graph_dict(g):
+    """The graph file's JSON object, built from the public views."""
+    edges = []
+    for e in g.sorted_edges():
+        item = {"u": str(e[0]), "v": str(e[1])}
+        if e in g.labels:
+            item["label"] = g.labels[e]
+        edges.append(item)
+    vertices = [{"id": str(v), "part": g.part[v]} for v in g.vertices()]
+    return {"format_version": 1, "vertices": vertices, "edges": edges}
+
+
+def _writer_cases():
+    u, v, x = VertexId(Role.U, 1), VertexId(Role.V, 1), VertexId(Role.X, 1, 1)
+    yield "empty", LabeledGraph(part={}, edges=set())
+    yield "no edges", LabeledGraph(part={u: 1}, edges=set())
+    yield "unlabeled", LabeledGraph(part={u: 1, v: 2, x: 3}, edges={(u, v), (u, x)})
+    yield "partly labeled", LabeledGraph(
+        part={u: 1, v: 2, x: 3}, edges={(u, v), (u, x), (v, x)},
+        labels={(u, x): 2, (v, x): 10},
+    )
+    for fam in (Family.M2, Family.M3):
+        params = FamilyParams(fam, 2, 4, (1, 1))
+        for stage in ("base", "crossed", "merged"):
+            yield f"{fam.value} {stage}", build_family(params, stage)
+
+
+@pytest.mark.parametrize("name,g", list(_writer_cases()))
+def test_graph_json_writer_matches_json_dumps(name, g):
+    assert io.graph_to_json(g) == json.dumps(_graph_dict(g), indent=2) + "\n"
 
 
 def test_graph_json_rejects_garbage():

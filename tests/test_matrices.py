@@ -11,6 +11,7 @@ from localantimagic import (
 )
 from localantimagic.formulas import center_constant
 from localantimagic.io import matrix_to_csv
+from localantimagic.matrices import _cell_m2, _cell_m3, row_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,6 +55,20 @@ def test_bijection_on_grid(family, n, k):
     # build_matrix raises if the cells are not a bijection onto [1, q]
     mat = build_matrix(FamilyParams(family, n, k))
     assert sorted(v for row in mat.rows for v in row) == list(range(1, mat.params.q + 1))
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in range(1, 13) for k in range(1, 13)] + [(60, 60)]
+)
+def test_rows_match_the_per_cell_formulas(family, n, k):
+    # build_matrix extends each regime of a row from two cells; the
+    # reference evaluates every cell
+    cell = _cell_m2 if family is Family.M2 else _cell_m3
+    params = FamilyParams(family, n, k)
+    want = [[cell(n, k, name, i) for i in range(1, 2 * k + 2)]
+            for name in row_names(params)]
+    assert build_matrix(params).rows == want
 
 
 def test_m2_n1_k1_is_5x3_bijection():
