@@ -33,11 +33,14 @@ WORKLOADS = ["sweep_connect", "oracle_small"]
 
 
 def seeds(text: str) -> List[int]:
-    """'401-410' or '401,405' or '401'."""
+    """'401-410' or '401,405' or '401'; a reversed range is an error."""
     out: List[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        out += span
     return out
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -54,7 +53,9 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
     """Build one family instance and check every structural claim:
     valid local antimagic labeling, exactly the three predicted colors,
     per-role color agreement, component count, and the chi_la = 3
-    certificate."""
+    certificate.  Only the crossed and merged stages have claims to check."""
+    if stage not in ("crossed", "merged"):
+        raise ParamError(f"check_cell checks the crossed and merged stages, not {stage!r}")
     start = time.monotonic()
     failures: List[str] = []
     triple = color_triple(params)
@@ -136,12 +137,12 @@ def worker_count() -> int:
 
 def run_sweep(cells: List[Tuple[FamilyParams, str]]) -> SweepReport:
     workers = min(worker_count(), len(cells)) if cells else 1
-    if workers <= 1 or len(cells) <= 1:
-        results = [check_cell(p, s) for p, s in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, cells))
-    return SweepReport(cells=results)
+    if workers <= 1:
+        return SweepReport(cells=[check_cell(p, s) for p, s in cells])
+    # Only a multi-worker sweep needs the pool, and importing it costs more than the package.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return SweepReport(cells=list(pool.map(_worker, cells)))
 
 
 def grid_cells(

@@ -8,6 +8,7 @@ from localantimagic import (
     FamilyParams,
     GraphError,
     LabeledGraph,
+    ParamError,
     Role,
     VertexId,
     apply_swap,
@@ -242,6 +243,17 @@ def bfs_runs(monkeypatch):
 def test_check_cell_runs_one_bfs(bfs_runs, params, stage):
     assert check_cell(params, stage).verified
     assert len(bfs_runs) == 1
+
+
+@pytest.mark.parametrize(
+    "params", [FamilyParams(Family.M2, 1, 1), FamilyParams(Family.M3, 2, 4, (1, 1))]
+)
+def test_check_cell_rejects_the_base_stage(params):
+    """The base stage has no claims to check: with or without a
+    factorization, check_cell refuses it by name instead of crashing or
+    reporting failures that do not apply."""
+    with pytest.raises(ParamError, match="'base'"):
+        check_cell(params, "base")
 
 
 def test_index_is_built_once_per_graph(bfs_runs, g45):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -454,12 +457,47 @@ def test_cli_sweep_bad_thread_count_exit_2(runner, threads):
     assert result.output.startswith("error: ANTIMAGIC_THREADS")
 
 
-def test_cli_sweep_two_threads(runner):
-    result = runner.invoke(
-        main, ["sweep", "-n", "1..2", "-k", "1..2"], env={"ANTIMAGIC_THREADS": "2"}
-    )
+def _sweep_without_runtimes(runner, args, threads):
+    result = runner.invoke(main, ["sweep", *args], env={"ANTIMAGIC_THREADS": threads})
     assert result.exit_code == 0
-    assert json.loads(result.output)["summary"] == {"pass": 8, "fail": 0}
+    data = json.loads(result.output)
+    for cell in data["grid"]:
+        del cell["runtime_ms"]
+    return data
+
+
+def test_cli_sweep_two_threads(runner):
+    args = ["-n", "1..2", "-k", "1..2"]
+    pooled = _sweep_without_runtimes(runner, args, "2")
+    assert pooled["summary"] == {"pass": 8, "fail": 0}
+    assert pooled == _sweep_without_runtimes(runner, args, "1")
+
+
+def test_cli_sweep_merged_two_threads(runner):
+    args = ["-n", "1..2", "--rs", "1..1"]
+    pooled = _sweep_without_runtimes(runner, args, "2")
+    assert pooled["summary"] == {"pass": 4, "fail": 0}
+    assert pooled == _sweep_without_runtimes(runner, args, "1")
+
+
+def test_cold_start_loads_no_process_pool():
+    """The package, its CLI and an oracle run (what a fresh `antimagic`
+    process does before any multi-worker sweep) leave the process pool
+    and multiprocessing unimported."""
+    code = (
+        "import sys\n"
+        "import localantimagic, localantimagic.cli\n"
+        "from localantimagic import book_graph, exhaustive_chi_la\n"
+        "exhaustive_chi_la(book_graph(1, 1))\n"
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+        " or m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_sweep_empty_range_exit_2(runner):
