@@ -5,19 +5,11 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _load_record():
-    spec = importlib.util.spec_from_file_location(
-        "record", ROOT / "benchmarks" / "record.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-record = _load_record()
+_SPEC = importlib.util.spec_from_file_location(
+    "record", Path(__file__).resolve().parent.parent / "benchmarks" / "record.py"
+)
+record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(record)
 
 
 @pytest.mark.parametrize(
@@ -50,16 +42,20 @@ def test_reversed_seeds_are_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_checkout(tmp_path):
+@pytest.fixture
+def checkout_root(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("")
-    assert record.checkout(f"parent={tmp_path}") == ("parent", tmp_path.resolve())
-    assert record.checkout(f"x={tmp_path}/perfbench/..") == ("x", tmp_path.resolve())
+    return tmp_path
+
+
+def test_checkout(checkout_root):
+    root = checkout_root.resolve()
+    assert record.checkout(f"parent={checkout_root}") == ("parent", root)
+    assert record.checkout(f"x={checkout_root}/perfbench/..") == ("x", root)
 
 
 @pytest.mark.parametrize("text", ["{dir}", "={dir}", "parent={dir}/perfbench"])
-def test_checkout_rejects(tmp_path, text):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text("")
+def test_checkout_rejects(checkout_root, text):
     with pytest.raises(argparse.ArgumentTypeError):
-        record.checkout(text.format(dir=tmp_path))
+        record.checkout(text.format(dir=checkout_root))
