@@ -12,9 +12,9 @@ JSON on small presets with and without pruning, and `sweep` JSON with the
 """
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
-
-from click.testing import CliRunner
 
 from localantimagic.cli import main as cli
 
@@ -28,10 +28,16 @@ MERGED = [
 
 
 def run(args, expect=(0,)):
-    result = CliRunner().invoke(cli, [str(a) for a in args])
-    if result.exit_code not in expect:
-        raise SystemExit(f"{args}: exit {result.exit_code}\n{result.output}")
-    return result.output
+    """The command's stdout and stderr, in write order."""
+    out, code = StringIO(), 0
+    try:
+        with redirect_stdout(out), redirect_stderr(out):
+            cli([str(a) for a in args])
+    except SystemExit as exc:
+        code = exc.code or 0
+    if code not in expect:
+        raise SystemExit(f"{args}: exit {code}\n{out.getvalue()}")
+    return out.getvalue()
 
 
 def dump_graph(out: Path, name: str, args) -> None:

@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 verification failure or rejected swap, 2 bad
 input (parameters, files, paths), always with an `error:` line on stderr.
+A malformed command line gets argparse's usage message and also exits 2.
 """
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import List, Optional
-
-import click
 
 from . import io
 from .families import SwapError, build_family, iter_connecting_swaps
@@ -16,6 +16,8 @@ from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
 from .oracle import PRESETS, BudgetError, exhaustive_chi_la
 from .sweep import grid_cells, report_to_json, run_sweep
+
+FAMILIES = ["m2", "m3"]
 
 
 def _read(path: str) -> str:
@@ -31,7 +33,8 @@ def _write(text: str, out: Optional[str]) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _params(
@@ -60,155 +63,62 @@ def _parse_range(text: str) -> List[int]:
     return values
 
 
-class _Main(click.Group):
-    """The one error boundary: bad input exits 2, a rejected swap exits 1,
-    each with an `error:` line; anything else is a bug and raises."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (ParamError, io.ParseError, BudgetError, GraphError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except SwapError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Construct, label, and verify the tripartite graph families."""
-
-
-def _family_options(fn):
-    fn = click.option("--family", type=click.Choice(["m2", "m3"]), required=True)(fn)
-    fn = click.option("-n", "n", type=int, required=True)(fn)
-    fn = click.option("-k", "k", type=int, required=True)(fn)
-    fn = click.option("-r", "r", type=int, default=None)(fn)
-    fn = click.option("-s", "s", type=int, default=None)(fn)
-    return fn
-
-
-@main.command()
-@click.option("--family", type=click.Choice(["m2", "m3"]), required=True)
-@click.option("-n", "n", type=int, required=True)
-@click.option("-k", "k", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(), default=None)
-def matrix(family: str, n: int, k: int, fmt: str, out: Optional[str]) -> None:
+def matrix(args: argparse.Namespace) -> None:
     """Emit the edge-label matrix for a family."""
-    mat = build_matrix(_params(family, n, k))
-    text = io.matrix_to_csv(mat) if fmt == "csv" else io.matrix_to_json(mat)
-    _write(text, out)
+    mat = build_matrix(_params(args.family, args.n, args.k))
+    text = io.matrix_to_csv(mat) if args.format == "csv" else io.matrix_to_json(mat)
+    _write(text, args.out)
 
 
-@main.command()
-@_family_options
-@click.option(
-    "--stage", type=click.Choice(["base", "crossed", "merged"]), default="crossed"
-)
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "dot", "graph6"]), default="json"
-)
-@click.option("--swaps", "swaps_file", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
-def build(
-    family: str,
-    n: int,
-    k: int,
-    r: Optional[int],
-    s: Optional[int],
-    stage: str,
-    fmt: str,
-    swaps_file: Optional[str],
-    out: Optional[str],
-) -> None:
+def build(args: argparse.Namespace) -> None:
     """Build a family graph, optionally applying a swap-move file."""
-    params = _params(family, n, k, r, s, stage)
-    moves = io.swaps_from_json(_read(swaps_file)) if swaps_file else None
-    g = build_family(params, stage=stage, swaps=moves)
-    if fmt == "json":
-        _write(io.graph_to_json(g), out)
-    elif fmt == "dot":
-        _write(io.graph_to_dot(g), out)
+    params = _params(args.family, args.n, args.k, args.r, args.s, args.stage)
+    moves = io.swaps_from_json(_read(args.swaps)) if args.swaps else None
+    g = build_family(params, stage=args.stage, swaps=moves)
+    if args.format == "json":
+        _write(io.graph_to_json(g), args.out)
+    elif args.format == "dot":
+        _write(io.graph_to_dot(g), args.out)
     else:
-        _write(io.graph_to_graph6(g), out)
-        sidecar = (out + ".labels") if out else None
+        _write(io.graph_to_graph6(g), args.out)
+        sidecar = (args.out + ".labels") if args.out else None
         _write(io.labels_sidecar(g), sidecar)
 
 
-@main.command()
-@click.argument("graph_file", type=click.Path())
-@click.option("--out", type=click.Path(), default=None)
-def verify(graph_file: str, out: Optional[str]) -> None:
+def verify(args: argparse.Namespace) -> None:
     """Verify a JSON graph file; exit 0 iff it is local antimagic."""
-    g = io.graph_from_json(_read(graph_file))
+    g = io.graph_from_json(_read(args.graph_file))
     report = verify_local_antimagic(g)
-    _write(io.certificate_to_json(g, report), out)
+    _write(io.certificate_to_json(g, report), args.out)
     sys.exit(0 if report.is_local_antimagic else 1)
 
 
-@main.command()
-@click.option("-n", "n_range", default="1..6", show_default=True)
-@click.option("-k", "k_range", default="1..8", show_default=True)
-@click.option("--rs", "rs_range", default=None, help="merged sweep over r,s")
-@click.option(
-    "--family",
-    "families",
-    type=click.Choice(["m2", "m3"]),
-    multiple=True,
-    default=("m2", "m3"),
-)
-@click.option("--out", type=click.Path(), default=None)
-def sweep(
-    n_range: str,
-    k_range: str,
-    rs_range: Optional[str],
-    families: tuple,
-    out: Optional[str],
-) -> None:
+def sweep(args: argparse.Namespace) -> None:
     """Verify every family instance over a parameter grid."""
-    fams = [Family(f) for f in families]
     cells = grid_cells(
-        fams,
-        _parse_range(n_range),
-        _parse_range(k_range),
-        _parse_range(rs_range) if rs_range else None,
+        [Family(f) for f in args.family or FAMILIES],
+        _parse_range(args.n),
+        _parse_range(args.k),
+        _parse_range(args.rs) if args.rs else None,
     )
     report = run_sweep(cells)
-    _write(report_to_json(report), out)
+    _write(report_to_json(report), args.out)
     if not report.all_pass:
         for cell in report.cells:
             for failure in cell.failures:
-                click.echo(f"FAIL {cell.params}: {failure}", err=True)
+                print(f"FAIL {cell.params}: {failure}", file=sys.stderr)
         sys.exit(1)
 
 
-@main.command()
-@click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None)
-@click.option("-a", "a", type=int, default=1, help="number of P_2 copies")
-@click.option("-m", "m", type=int, default=1, help="number of joined leaves")
-@click.option("--graph", "graph_file", type=click.Path(), default=None)
-@click.option("--budget", type=int, default=10, show_default=True)
-@click.option("--no-prune", is_flag=True, default=False)
-@click.option("--out", type=click.Path(), default=None)
-def oracle(
-    preset: Optional[str],
-    a: int,
-    m: int,
-    graph_file: Optional[str],
-    budget: int,
-    no_prune: bool,
-    out: Optional[str],
-) -> None:
+def oracle(args: argparse.Namespace) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
-    if graph_file:
-        g = io.graph_from_json(_read(graph_file))
-    elif preset:
-        g = PRESETS[preset](a, m)
+    if args.graph:
+        g = io.graph_from_json(_read(args.graph))
+    elif args.preset:
+        g = PRESETS[args.preset](args.a, args.m)
     else:
         raise ParamError("need --preset or --graph")
-    result = exhaustive_chi_la(g, edge_budget=budget, prune=not no_prune)
+    result = exhaustive_chi_la(g, edge_budget=args.budget, prune=not args.no_prune)
     payload = {
         "format_version": io.FORMAT_VERSION,
         "chi_la": result.chi_la,
@@ -220,30 +130,84 @@ def oracle(
         "labelings_tried": result.labelings_tried,
         "valid_labelings": result.valid_labelings,
     }
-    _write(io._dumps(payload), out)
+    _write(io._dumps(payload), args.out)
     if result.chi_la is None:
-        click.echo("no local antimagic labeling", err=True)
+        print("no local antimagic labeling", file=sys.stderr)
 
 
-@main.command()
-@_family_options
-@click.option(
-    "--stage", type=click.Choice(["crossed", "merged"]), default="merged"
-)
-@click.option("--out", type=click.Path(), default=None)
-def swaps(
-    family: str,
-    n: int,
-    k: int,
-    r: Optional[int],
-    s: Optional[int],
-    stage: str,
-    out: Optional[str],
-) -> None:
+def swaps(args: argparse.Namespace) -> None:
     """List component-reducing swap moves for a family graph."""
-    g = build_family(_params(family, n, k, r, s, stage), stage=stage)
-    moves = list(iter_connecting_swaps(g))
-    _write(io.swaps_to_json(moves, g), out)
+    params = _params(args.family, args.n, args.k, args.r, args.s, args.stage)
+    g = build_family(params, stage=args.stage)
+    _write(io.swaps_to_json(list(iter_connecting_swaps(g)), g), args.out)
+
+
+def main(argv: Optional[List[str]] = None) -> None:
+    """Construct, label, and verify the tripartite graph families."""
+    parser = argparse.ArgumentParser(
+        prog="antimagic", description=main.__doc__, allow_abbrev=False
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn, *family_options: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(
+            fn.__name__, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=fn)
+        if family_options:
+            sub.add_argument("--family", choices=FAMILIES, required=True)
+        for name in family_options:
+            sub.add_argument(name, type=int, required=name in ("-n", "-k"))
+        return sub
+
+    sub = command(matrix, "-n", "-k")
+    sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--out")
+
+    sub = command(build, "-n", "-k", "-r", "-s")
+    sub.add_argument("--stage", choices=["base", "crossed", "merged"], default="crossed")
+    sub.add_argument("--format", choices=["json", "dot", "graph6"], default="json")
+    sub.add_argument("--swaps")
+    sub.add_argument("--out")
+
+    sub = command(verify)
+    sub.add_argument("graph_file", metavar="GRAPH_FILE")
+    sub.add_argument("--out")
+
+    sub = command(sweep)
+    sub.add_argument("-n", default="1..6", help="[default: %(default)s]")
+    sub.add_argument("-k", default="1..8", help="[default: %(default)s]")
+    sub.add_argument("--rs", help="merged sweep over r,s")
+    sub.add_argument(
+        "--family", action="append", choices=FAMILIES,
+        help="repeatable [default: m2 and m3]",
+    )
+    sub.add_argument("--out")
+
+    sub = command(oracle)
+    sub.add_argument("--preset", choices=sorted(PRESETS))
+    sub.add_argument("-a", type=int, default=1, help="number of P_2 copies")
+    sub.add_argument("-m", type=int, default=1, help="number of joined leaves")
+    sub.add_argument("--graph")
+    sub.add_argument("--budget", type=int, default=10, help="[default: %(default)s]")
+    sub.add_argument("--no-prune", action="store_true")
+    sub.add_argument("--out")
+
+    sub = command(swaps, "-n", "-k", "-r", "-s")
+    sub.add_argument("--stage", choices=["crossed", "merged"], default="merged")
+    sub.add_argument("--out")
+
+    args = parser.parse_args(argv)
+    # The one error boundary: bad input exits 2, a rejected swap exits 1,
+    # each with an `error:` line; anything else is a bug and raises.
+    try:
+        args.run(args)
+    except (ParamError, io.ParseError, BudgetError, GraphError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except SwapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -71,14 +72,14 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
         failures.append(
             f"colors {report.distinct_colors} != predicted {expected_colors}"
         )
-    for v, c in report.color_of.items():
-        want = (
-            triple.c_u
-            if v.role is Role.U
-            else triple.c_v if v.role is Role.V else triple.c_center
-        )
-        if c != want:
-            failures.append(f"color of {v} is {c}, formula says {want}")
+    # Sorted vertices run U, then V, then leaves: check each block's sums at once.
+    vs, sums = g._vertices, list(report.color_of.values())
+    u_end, v_end = bisect_left(vs, (Role.V,)), bisect_left(vs, (Role.X,))
+    for lo, hi, want in ((0, u_end, triple.c_u), (u_end, v_end, triple.c_v),
+                         (v_end, len(vs), triple.c_center)):
+        if sums[lo:hi].count(want) != hi - lo:
+            i = next(i for i in range(lo, hi) if sums[i] != want)
+            failures.append(f"color of {vs[i]} is {sums[i]}, formula says {want}")
             break
     if stage == "crossed":
         want_components = params.k + 1

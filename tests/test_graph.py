@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from functools import cached_property
 
@@ -24,6 +25,7 @@ from localantimagic import (
 )
 from localantimagic.graph import components_of
 from localantimagic.oracle import _kernel_inputs
+from localantimagic import sweep
 from localantimagic.sweep import check_cell
 
 
@@ -254,6 +256,31 @@ def test_check_cell_rejects_the_base_stage(params):
     reporting failures that do not apply."""
     with pytest.raises(ParamError, match="'base'"):
         check_cell(params, "base")
+
+
+@pytest.mark.parametrize(
+    "field, failures",
+    [
+        ("c_v", ["colors [91, 169, 205] != predicted [91, 170, 205]",
+                 "color of v:1:0 is 169, formula says 170",
+                 "column sums (205, 169) != closed forms (205, 170)"]),
+        ("c_center", ["colors [91, 169, 205] != predicted [92, 169, 205]",
+                      "color of x:5:1 is 91, formula says 92"]),
+    ],
+)
+def test_check_cell_names_the_first_vertex_off_its_formula_color(monkeypatch, field, failures):
+    """A formula color shifted by one fails the role-color claim at the
+    first vertex of that role, in sorted order."""
+    true_triple = sweep.color_triple
+
+    def shifted(params):
+        triple = true_triple(params)
+        return dataclasses.replace(triple, **{field: getattr(triple, field) + 1})
+
+    monkeypatch.setattr(sweep, "color_triple", shifted)
+    cell = check_cell(FamilyParams(Family.M2, 2, 4), "crossed")
+    assert not cell.verified
+    assert cell.failures == failures
 
 
 def test_index_is_built_once_per_graph(bfs_runs, g45):

@@ -1,11 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
-from click.testing import CliRunner
 
 from localantimagic import (
     Family,
@@ -24,9 +28,27 @@ from localantimagic.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class _Runner:
+    """Runs `cli(args)` in-process: stdout and stderr go into one buffer in
+    write order, `env` is set for the call only, and a `SystemExit` becomes
+    the exit code (and the exception, unless it is 0)."""
+
+    def invoke(self, cli, args, env=None):
+        out, code, exception = StringIO(), 0, None
+        try:
+            with patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+                cli(args)
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+        return SimpleNamespace(exit_code=code, output=out.getvalue(), exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def test_graph_json_round_trip_is_byte_identical(g45):
@@ -486,18 +508,25 @@ def test_cold_start_loads_no_process_pool():
     and multiprocessing unimported."""
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import localantimagic, localantimagic.cli\n"
         "from localantimagic import book_graph, exhaustive_chi_la\n"
         "exhaustive_chi_la(book_graph(1, 1))\n"
         "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
         " or m.split('.')[0] == 'multiprocessing'))\n"
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    pool, third_party = proc.stdout.splitlines()
+    assert pool == "[]"
+    # the package needs nothing outside the standard library (what `site`
+    # loaded before the import is the environment's, not the package's)
+    assert third_party == "['localantimagic']"
 
 
 def test_cli_sweep_empty_range_exit_2(runner):
@@ -535,3 +564,72 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
         # the bad factorization is named, not the k derived from it
         assert "r, s must be >= 1" in result.output
         assert "k must" not in result.output
+
+
+def _cli_process(*args):
+    """`python -m localantimagic.cli ARGS` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "localantimagic.cli", *args],
+        env=env, capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["nonsense"],
+        ["matrix", "--family", "bad", "-n", "1", "-k", "1"],
+        ["matrix", "--fam", "m2", "-n", "1", "-k", "1"],
+    ],
+    ids=["no-command", "unknown-command", "bad-choice", "abbreviated-option"],
+)
+def test_cli_process_usage_error_exits_2(args):
+    proc = _cli_process(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.lower().startswith("usage: ")
+
+
+def test_cli_process_oracle_stdout_matches_in_process(runner):
+    proc = _cli_process("oracle", "--preset", "book")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == runner.invoke(main, ["oracle", "--preset", "book"]).output
+
+
+def test_cli_process_bad_input_is_an_error_line_not_a_traceback():
+    proc = _cli_process("sweep", "-n", "0..1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+COMMAND_OPTIONS = {
+    "matrix": ["--family", "-n", "-k", "--format", "--out"],
+    "build": ["--family", "-n", "-k", "-r", "-s", "--stage", "--format", "--swaps", "--out"],
+    "verify": ["GRAPH_FILE", "--out"],
+    "sweep": ["-n", "-k", "--rs", "--family", "--out"],
+    "oracle": ["--preset", "-a", "-m", "--graph", "--budget", "--no-prune", "--out"],
+    "swaps": ["--family", "-n", "-k", "-r", "-s", "--stage", "--out"],
+}
+
+
+def test_cli_group_help_names_every_command(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    for command in COMMAND_OPTIONS:
+        assert re.search(rf"^\s+{command}\s", result.output, re.MULTILINE), command
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_cli_command_help_names_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    words = set(re.findall(r"(?<![\w-])-{1,2}[\w-]+|[A-Z_]{2,}", result.output))
+    assert set(COMMAND_OPTIONS[command]) <= words
+    defaults = {"sweep": ["1..6", "1..8"], "oracle": ["10"]}.get(command, [])
+    for value in defaults:
+        assert f"[default: {value}]" in result.output
