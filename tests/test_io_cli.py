@@ -569,7 +569,7 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
 def _cli_process(*args):
     """`python -m localantimagic.cli ARGS` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "localantimagic.cli", *args],
         env=env, capture_output=True, text=True,
