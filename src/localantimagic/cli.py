@@ -63,6 +63,19 @@ def _parse_range(text: str) -> List[int]:
     return values
 
 
+def _join_ranges(argv: List[str]) -> List[str]:
+    """argparse takes an argument that starts with "-" for an option unless
+    it is a plain negative number, so a range such as -1..2 is joined to
+    its option (-n=-1..2) to reach _parse_range."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("-n", "-k", "--rs") and arg.startswith("-") and ".." in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def matrix(args: argparse.Namespace) -> None:
     """Emit the edge-label matrix for a family."""
     mat = build_matrix(_params(args.family, args.n, args.k))
@@ -197,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     sub.add_argument("--stage", choices=["crossed", "merged"], default="merged")
     sub.add_argument("--out")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
     # The one error boundary: bad input exits 2, a rejected swap exits 1,
     # each with an `error:` line; anything else is a bug and raises.
     try:

@@ -6,7 +6,7 @@ from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .graph import Edge, LabeledGraph, Role, VertexId, edge
+from .graph import Edge, GraphError, LabeledGraph, Role, VertexId
 from .matrices import FamilyParams, LabelMatrix, ParamError, build_matrix
 
 
@@ -134,11 +134,6 @@ class SwapMove(NamedTuple):
     pair_a: Tuple[Edge, Edge]
     pair_b: Tuple[Edge, Edge]
 
-    def far_endpoints(self) -> Tuple[List[VertexId], List[VertexId]]:
-        fa = [e[0] if e[1] == self.center_a else e[1] for e in self.pair_a]
-        fb = [e[0] if e[1] == self.center_b else e[1] for e in self.pair_b]
-        return fa, fb
-
     def label_pairs(self, g: LabeledGraph) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         la = tuple(sorted(g.labels[e] for e in self.pair_a))
         lb = tuple(sorted(g.labels[e] for e in self.pair_b))
@@ -167,7 +162,7 @@ def _edge_at(g: LabeledGraph, e: Edge) -> Optional[int]:
 
 def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
     """The positions of the move's four edges, pair_a first; SwapError
-    unless the swap keeps g simple, tripartite and equally colored."""
+    unless the move is well formed and keeps every color."""
     if move.center_a == move.center_b:
         raise SwapError("centers must be distinct")
     pos = []
@@ -192,38 +187,22 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
     sum_a, sum_b = labs[0] + labs[1], labs[2] + labs[3]
     if sum_a != sum_b:
         raise SwapError(f"pair sums differ: {sum_a} != {sum_b}")
-    fa, fb = move.far_endpoints()
-
-    def part(v: VertexId) -> int:
-        return g._part[g._position(v)]
-
-    part_a, part_b = part(move.center_a), part(move.center_b)
-    for w in fa:
-        if part(w) == part_b:
-            raise SwapError(f"{w} shares a part with {move.center_b}")
-    for w in fb:
-        if part(w) == part_a:
-            raise SwapError(f"{w} shares a part with {move.center_a}")
-    if fa[0] == fa[1] or fb[0] == fb[1]:
-        raise SwapError("pair edges share a far endpoint")
-    for far, center in ((fa, move.center_b), (fb, move.center_a)):
-        for w in far:
-            if w == center:
-                raise SwapError("swap would create a loop")
-            e = edge(w, center)
-            if _edge_at(g, e) not in (None, *pos):
-                raise SwapError(f"swap would duplicate edge {e}")
     return pos
 
 
 def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
     """Re-home pair_a's edges to center_b and pair_b's to center_a, each
-    keeping its label and far endpoint, at their new sorted positions."""
+    keeping its label and far endpoint, at their new sorted positions.
+    SwapError if a re-homed edge would join one part, or the result would
+    not be simple."""
     pos = _validate_swap(g, move)
     ca, cb = g._position(move.center_a), g._position(move.center_b)
+    vs, part = g._vertices, g._part
     moved = []
     for p, old, new in zip(pos, (ca, ca, cb, cb), (cb, cb, ca, ca)):
         far = g._eu[p] ^ g._ev[p] ^ old
+        if part[far] == part[new]:  # also a loop, far == new
+            raise SwapError(f"{vs[far]} shares a part with {vs[new]}")
         moved.append((min(far, new), max(far, new), g._label[p]))
     eu, ev, label = list(g._eu), list(g._ev), list(g._label)
     for p in sorted(pos, reverse=True):
@@ -233,7 +212,10 @@ def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
         eu.insert(i, a)
         ev.insert(i, b)
         label.insert(i, lab)
-    return LabeledGraph._from_arrays(g._vertices, g._part, eu, ev, label)
+    try:
+        return LabeledGraph._from_arrays(vs, part, eu, ev, label)
+    except GraphError as exc:  # a re-homed edge that g already has
+        raise SwapError(f"swap result is not simple: {exc}") from exc
 
 
 def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:

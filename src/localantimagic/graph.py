@@ -106,9 +106,10 @@ class LabeledGraph:
     the class of vertex i, and edge e (in sorted order) joins vertices
     `_eu[e] < _ev[e]` with label `_label[e]` (None when unlabeled).
     The package's stages, verifier, swap enumeration, emitters and oracle
-    read these arrays directly.  `LabeledGraph(part=, edges=, labels=)`
-    validates dict input; transforms build through `_from_arrays`, which
-    checks the same invariants in int form.  `part`, `edges` and `labels`
+    read these arrays directly.  Every graph, from
+    `LabeledGraph(part=, edges=, labels=)` or from a transform's
+    `_from_arrays`, is checked in one place, `_set`; the dict constructor
+    adds only the checks that need dicts.  `part`, `edges` and `labels`
     are read-only views, built on first read.  Immutable: transforms
     return new graphs.
     """
@@ -117,18 +118,11 @@ class LabeledGraph:
                  labels: Optional[Mapping[Edge, int]] = None):
         labels = {} if labels is None else labels
         for a, b in edges:
-            if a == b:
-                raise GraphError(f"loop at {a}")
             if a not in part or b not in part:
                 raise GraphError(f"edge ({a}, {b}) has endpoint outside vertex set")
-            if not a < b:
-                raise GraphError(f"edge ({a}, {b}) not normalized")
         for e in labels:
             if e not in edges:
                 raise GraphError(f"label on non-edge {e}")
-        for v, c in part.items():
-            if c not in (1, 2, 3):
-                raise GraphError(f"part class of {v} is {c}, expected 1..3")
         vertices = sorted(part)
         of = {v: i for i, v in enumerate(vertices)}
         es = sorted(edges)
@@ -142,21 +136,32 @@ class LabeledGraph:
         return g
 
     def _set(self, vertices, part, eu, ev, label) -> None:
-        """Check the invariants in int form, then store the arrays."""
+        """Check the invariants in int form, then store the arrays.  A
+        failure names the first offending vertex or edge."""
         n = len(vertices)
         if not len(part) == n or not len(eu) == len(ev) == len(label):
             raise GraphError("vertex or edge arrays differ in length")
         if not all(map(lt, vertices, islice(vertices, 1, None))):
             raise GraphError("vertices not strictly sorted")
         if not {1, 2, 3}.issuperset(part):
-            raise GraphError("part class outside 1..3")
+            v, c = next((v, c) for v, c in zip(vertices, part) if c not in (1, 2, 3))
+            raise GraphError(f"part class of {v} is {c}, expected 1..3")
         if eu and (min(eu) < 0 or max(ev) >= n):
             raise GraphError("edge endpoint outside vertex set")
         if not all(map(lt, eu, ev)):
-            raise GraphError("edge not normalized")
+            a, b = next((a, b) for a, b in zip(eu, ev) if not a < b)
+            if not 0 <= b <= a < n:  # the bounds above cover normalized edges only
+                raise GraphError("edge endpoint outside vertex set")
+            if a == b:
+                raise GraphError(f"loop at {vertices[a]}")
+            raise GraphError(f"edge ({vertices[a]}, {vertices[b]}) not normalized")
         after = zip(islice(eu, 1, None), islice(ev, 1, None))
         if not all(map(lt, zip(eu, ev), after)):
-            raise GraphError("edges not sorted, or listed twice")
+            es = list(zip(eu, ev))
+            i = next(i for i in range(1, len(es)) if not es[i - 1] < es[i])
+            how = "listed twice" if es[i - 1] == es[i] else "out of order"
+            a, b = es[i]
+            raise GraphError(f"edge ({vertices[a]}, {vertices[b]}) {how}")
         self.__dict__.update(
             _vertices=vertices, _part=part, _eu=eu, _ev=ev, _label=label
         )

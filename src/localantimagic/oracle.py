@@ -42,11 +42,6 @@ def _search_order(g: LabeledGraph) -> List[int]:
     )
 
 
-def _edge_order(g: LabeledGraph) -> List[Edge]:
-    """The edges in search order."""
-    return [g._edge_list[e] for e in _search_order(g)]
-
-
 def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
     """The search order of g's edges and the kernel's arguments
     (eu, ev, checks, q, n) for that order.

@@ -219,6 +219,51 @@ def test_loop_rejected():
         edge(u, u)
 
 
+U1, V1, X1 = VertexId(Role.U, 1), VertexId(Role.V, 1), VertexId(Role.X, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "part, edges, labels, message",
+    [
+        ({U1: 1}, {(U1, U1)}, {}, "loop at u:1:0"),
+        ({U1: 1, V1: 2}, {(V1, U1)}, {}, "edge (v:1:0, u:1:0) not normalized"),
+        ({U1: 1, X1: 4}, set(), {}, "part class of x:1:1 is 4, expected 1..3"),
+        ({U1: 1}, {(U1, V1)}, {}, "edge (u:1:0, v:1:0) has endpoint outside vertex set"),
+        ({U1: 1, V1: 2}, set(), {(U1, V1): 1}, f"label on non-edge {(U1, V1)}"),
+    ],
+    ids=["loop", "not-normalized", "part-4", "dangling", "label-on-non-edge"],
+)
+def test_dict_constructor_messages(part, edges, labels, message):
+    with pytest.raises(GraphError) as info:
+        LabeledGraph(part=part, edges=edges, labels=labels)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "eu, ev, message",
+    [
+        ([0, 1], [1, 1], "loop at v:1:0"),
+        ([1], [0], "edge (v:1:0, u:1:0) not normalized"),
+        ([0, 0], [1, 1], "edge (u:1:0, v:1:0) listed twice"),
+        ([0, 0], [2, 1], "edge (u:1:0, v:1:0) out of order"),
+        ([5], [1], "edge endpoint outside vertex set"),
+        ([0], [-1], "edge endpoint outside vertex set"),
+    ],
+    ids=["loop", "not-normalized", "twice", "unsorted", "past-the-end", "negative"],
+)
+def test_array_constructor_names_the_first_bad_edge(eu, ev, message):
+    with pytest.raises(GraphError) as info:
+        LabeledGraph._from_arrays([U1, V1, X1], [1, 2, 3], eu, ev, [None] * len(eu))
+    assert str(info.value) == message
+
+
+def test_graph_pickle_round_trip_after_its_views_are_read():
+    g = build_family(FamilyParams(Family.M2, 1, 4, (1, 1)), "merged")
+    g.part, g.labels, g.index  # cached on g; a mapping proxy does not pickle
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back.labels == g.labels
+
+
 @pytest.fixture
 def bfs_runs(monkeypatch):
     """ids of the graphs whose index (the one BFS) is built while active."""

@@ -544,6 +544,8 @@ def test_cli_exit_code_contract(runner):
     [
         ["sweep", "-n", "0..1"],
         ["sweep", "-n", "1", "--rs", "0..1"],
+        ["sweep", "-n", "-1..2"],
+        ["sweep", "-n", "1", "--rs", "-1..1"],
         ["build", "--family", "m2", "-n", "1", "-k", "1", "--swaps", "{dir}"],
         ["oracle", "--graph", "{dir}"],
         ["build", "--family", "m2", "-n", "1", "-k", "1", "--out", "{dir}/no/such/x.json"],
@@ -551,15 +553,18 @@ def test_cli_exit_code_contract(runner):
         ["build", "--family", "m2", "-n", "1", "-k", "1", "-r", "0", "-s", "1",
          "--stage", "merged"],
     ],
-    ids=["sweep-n-0", "sweep-rs-0", "swaps-file-is-dir", "graph-file-is-dir",
+    ids=["sweep-n-0", "sweep-rs-0", "sweep-n-negative", "sweep-rs-negative",
+         "swaps-file-is-dir", "graph-file-is-dir",
          "out-dir-missing", "graph-file-not-utf8", "build-r-0"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
     assert result.exit_code == 2
-    assert "error:" in result.output
+    assert result.output.startswith("error:")  # not argparse's usage message
     assert isinstance(result.exception, SystemExit)  # not a traceback
+    if args[1:3] == ["-n", "-1..2"]:
+        assert "error: n must be >= 1, got -1" in result.output
     if "--rs" in args or "-r" in args:
         # the bad factorization is named, not the k derived from it
         assert "r, s must be >= 1" in result.output

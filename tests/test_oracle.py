@@ -15,7 +15,7 @@ from localantimagic import (
     path_p2,
     verify_local_antimagic,
 )
-from localantimagic.oracle import BudgetError, _edge_order, _plain_valid
+from localantimagic.oracle import BudgetError, _kernel_inputs, _plain_valid
 
 
 def test_k3():
@@ -69,7 +69,7 @@ def test_minimum_is_attained():
     from itertools import permutations
 
     g = book_graph(1, 1)
-    order = _edge_order(g)
+    order = _kernel_inputs(g)[0]
     best = exhaustive_chi_la(g).chi_la
     counts = []
     for perm in permutations(range(1, 4)):
@@ -134,7 +134,7 @@ def _random_tripartite(rng, q):
 def _reference_chi_la(g):
     """(chi_la, witness, valid count) by trying every permutation of 1..q
     on the oracle's edge order, in lexicographic order."""
-    order = _edge_order(g)
+    order = _kernel_inputs(g)[0]
     best, witness, valid = None, None, 0
     for labels in itertools.permutations(range(1, g.q + 1)):
         sums = dict.fromkeys(g.part, 0)
