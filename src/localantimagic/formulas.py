@@ -2,14 +2,12 @@
 graph construction."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .matrices import Family, FamilyParams, ParamError
 
 
-@dataclass(frozen=True)
-class ColorTriple:
+class ColorTriple(NamedTuple):
     """The three induced colors of a family instance: the leaf/merged
     color, the u-vertex color, and the v-vertex color."""
 
@@ -44,8 +42,7 @@ def color_triple(params: FamilyParams) -> ColorTriple:
     )
 
 
-@dataclass(frozen=True)
-class DistinctnessCertificate:
+class DistinctnessCertificate(NamedTuple):
     """Signs of the center-vs-u and center-vs-v color differences with the
     case branch each falls under."""
 

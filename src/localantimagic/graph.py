@@ -4,7 +4,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import islice
@@ -122,7 +121,7 @@ class LabeledGraph:
                 raise GraphError(f"edge ({a}, {b}) has endpoint outside vertex set")
         for e in labels:
             if e not in edges:
-                raise GraphError(f"label on non-edge {e}")
+                raise GraphError(f"label on non-edge ({e[0]}, {e[1]})")
         vertices = sorted(part)
         of = {v: i for i, v in enumerate(vertices)}
         es = sorted(edges)
@@ -276,9 +275,8 @@ class LabeledGraph:
                 )
 
 
-@dataclass
-class ColorReport:
-    color_of: Dict[VertexId, int]
+class ColorReport(NamedTuple):
+    sums: List[int]  # per vertex position
     distinct_colors: List[int]
     c_f: int
     is_local_antimagic: bool
@@ -329,7 +327,7 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
     chi_lower = chromatic_lower_bound(g)
     bracket = (chi_lower, len(distinct) if ok else None)
     return ColorReport(
-        color_of=dict(zip(vs, sums)),
+        sums=sums,
         distinct_colors=distinct,
         c_f=len(distinct),
         is_local_antimagic=ok,

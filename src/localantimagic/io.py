@@ -193,7 +193,7 @@ def certificate_to_json(g: LabeledGraph, report: ColorReport) -> str:
             "is_local_antimagic": report.is_local_antimagic,
             "c_f": report.c_f,
             "distinct_colors": report.distinct_colors,
-            "colors": {str(v): report.color_of[v] for v in sorted(report.color_of)},
+            "colors": dict(zip(_names(g), report.sums)),
             "chi_lower": report.chi_lower,
             "chi_la_bracket": [lower, upper],
         }

@@ -7,10 +7,9 @@ rows.  Cell values form a bijection onto [1, rows*(2k+1)].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 
 class Family(Enum):
@@ -22,29 +21,39 @@ class ParamError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _ParamFields(NamedTuple):
     family: Family
     n: int
     k: int
     factorization: Optional[Tuple[int, int]] = None  # (r, s)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParamError(f"n must be >= 1, got {self.n}")
+
+class FamilyParams(_ParamFields):
+    """Validated on construction, so by `_make`, `_replace` and unpickling too."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, n: int, k: int, factorization=None) -> "FamilyParams":
+        if n < 1:
+            raise ParamError(f"n must be >= 1, got {n}")
         # r and s first: a sweep derives k from them, so a bad r or s
         # would otherwise be reported as a k the user never gave
-        if self.factorization is not None:
-            r, s = self.factorization
+        if factorization is not None:
+            r, s = factorization
             if r < 1 or s < 1:
                 raise ParamError(f"r, s must be >= 1, got ({r}, {s})")
-            if (2 * r + 1) * (2 * s + 1) != 2 * self.k + 1:
+            if (2 * r + 1) * (2 * s + 1) != 2 * k + 1:
                 raise ParamError(
                     f"(2r+1)(2s+1) = {(2 * r + 1) * (2 * s + 1)} "
-                    f"but 2k+1 = {2 * self.k + 1}"
+                    f"but 2k+1 = {2 * k + 1}"
                 )
-        if self.k < 1:
-            raise ParamError(f"k must be >= 1, got {self.k}")
+        if k < 1:
+            raise ParamError(f"k must be >= 1, got {k}")
+        return tuple.__new__(cls, (family, n, k, factorization))
+
+    @classmethod
+    def _make(cls, fields) -> "FamilyParams":  # _replace() builds through here too
+        return cls(*fields)
 
     @property
     def leaves_per_copy(self) -> int:
@@ -63,8 +72,7 @@ class FamilyParams:
         return self.rows * self.copies
 
 
-@dataclass(frozen=True)
-class LabelMatrix:
+class LabelMatrix(NamedTuple):
     """The label matrix as rows of plain ints: `ux[j-1]` is the u-side
     leaf-j row, `uv` the partner row, `vx[j-1]` the v-side leaf-j row, and
     entry i-1 of every row is copy i."""

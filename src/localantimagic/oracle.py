@@ -3,8 +3,7 @@ graphs, by enumerating edge-label bijections."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _kernels
 from .graph import (
@@ -24,8 +23,7 @@ class BudgetError(ValueError):
     pass
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     chi_la: Optional[int]
     witness: Optional[Dict[Edge, int]]
     labelings_tried: int

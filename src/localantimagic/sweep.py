@@ -5,8 +5,7 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .families import build_family
 from .formulas import color_triple
@@ -21,8 +20,7 @@ from .matrices import (
 from .io import FORMAT_VERSION, _dumps, params_to_json
 
 
-@dataclass
-class CellResult:
+class CellResult(NamedTuple):
     params: FamilyParams
     stage: str
     verified: bool
@@ -30,11 +28,10 @@ class CellResult:
     components: int
     regular: Optional[int]
     runtime_ms: int
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     cells: List[CellResult]
 
     @property
@@ -73,7 +70,7 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
             f"colors {report.distinct_colors} != predicted {expected_colors}"
         )
     # Sorted vertices run U, then V, then leaves: check each block's sums at once.
-    vs, sums = g._vertices, list(report.color_of.values())
+    vs, sums = g._vertices, report.sums
     u_end, v_end = bisect_left(vs, (Role.V,)), bisect_left(vs, (Role.X,))
     for lo, hi, want in ((0, u_end, triple.c_u), (u_end, v_end, triple.c_v),
                          (v_end, len(vs), triple.c_center)):
@@ -142,8 +139,9 @@ def run_sweep(cells: List[Tuple[FamilyParams, str]]) -> SweepReport:
         return SweepReport(cells=[check_cell(p, s) for p, s in cells])
     # Only a multi-worker sweep needs the pool, and importing it costs more than the package.
     from concurrent.futures import ProcessPoolExecutor
+    chunksize = max(1, len(cells) // (16 * workers))  # ~16 round trips per worker
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return SweepReport(cells=list(pool.map(_worker, cells)))
+        return SweepReport(cells=list(pool.map(_worker, cells, chunksize=chunksize)))
 
 
 def grid_cells(

@@ -54,7 +54,7 @@ def test_crossing_g45(g45):
     assert rep.is_local_antimagic
     assert rep.distinct_colors == [91, 169, 205]
     assert graph_stats(g45)[0] == 5
-    for v, c in rep.color_of.items():
+    for v, c in induced_colors(g45).items():
         if v.role in (Role.Y, Role.Z, Role.X):
             assert c == 91  # n(8k+4)+4k+3 at n=2, k=4
 
@@ -62,7 +62,7 @@ def test_crossing_g45(g45):
 def test_crossing_g55(g55):
     rep = verify_local_antimagic(g55)
     assert rep.is_local_antimagic
-    for v, c in rep.color_of.items():
+    for v, c in induced_colors(g55).items():
         if v.role in (Role.Y, Role.Z, Role.X):
             assert c == 109  # (2n+2)(4k+2)+1 at n=2, k=4
 
@@ -143,7 +143,8 @@ def test_merge_g433(g433):
     assert components == 2
     merged = [v for v in g433.part if v.role in (Role.MY, Role.MZ, Role.MX)]
     assert all(g433.degree(v) == 6 for v in merged)
-    assert all(rep.color_of[v] == 273 for v in merged)
+    colors = induced_colors(g433)
+    assert all(colors[v] == 273 for v in merged)
 
 
 def test_merge_g533(g533):

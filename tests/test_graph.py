@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from functools import cached_property
 
@@ -82,7 +81,8 @@ def test_verify_path():
     rep = verify_local_antimagic(g)
     assert rep.is_local_antimagic
     assert rep.c_f == 3
-    assert rep.color_of == {u: 1, v: 3, w: 2}
+    assert induced_colors(g) == {u: 1, v: 3, w: 2}
+    assert rep.sums == [1, 2, 3]  # by position: u, w, v
 
 
 def test_verify_g45(g45):
@@ -229,7 +229,7 @@ U1, V1, X1 = VertexId(Role.U, 1), VertexId(Role.V, 1), VertexId(Role.X, 1, 1)
         ({U1: 1, V1: 2}, {(V1, U1)}, {}, "edge (v:1:0, u:1:0) not normalized"),
         ({U1: 1, X1: 4}, set(), {}, "part class of x:1:1 is 4, expected 1..3"),
         ({U1: 1}, {(U1, V1)}, {}, "edge (u:1:0, v:1:0) has endpoint outside vertex set"),
-        ({U1: 1, V1: 2}, set(), {(U1, V1): 1}, f"label on non-edge {(U1, V1)}"),
+        ({U1: 1, V1: 2}, set(), {(U1, V1): 1}, "label on non-edge (u:1:0, v:1:0)"),
     ],
     ids=["loop", "not-normalized", "part-4", "dangling", "label-on-non-edge"],
 )
@@ -320,7 +320,7 @@ def test_check_cell_names_the_first_vertex_off_its_formula_color(monkeypatch, fi
 
     def shifted(params):
         triple = true_triple(params)
-        return dataclasses.replace(triple, **{field: getattr(triple, field) + 1})
+        return triple._replace(**{field: getattr(triple, field) + 1})
 
     monkeypatch.setattr(sweep, "color_triple", shifted)
     cell = check_cell(FamilyParams(Family.M2, 2, 4), "crossed")

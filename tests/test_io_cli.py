@@ -504,8 +504,8 @@ def test_cli_sweep_merged_two_threads(runner):
 
 def test_cold_start_loads_no_process_pool():
     """The package, its CLI and an oracle run (what a fresh `antimagic`
-    process does before any multi-worker sweep) leave the process pool
-    and multiprocessing unimported."""
+    process does before any multi-worker sweep) leave the process pool,
+    multiprocessing, dataclasses and inspect unimported."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -516,14 +516,18 @@ def test_cold_start_loads_no_process_pool():
         " or m.split('.')[0] == 'multiprocessing'))\n"
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names)))\n"
+        "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    pool, third_party = proc.stdout.splitlines()
+    pool, third_party, slow_imports = proc.stdout.splitlines()
     assert pool == "[]"
+    # dataclasses loads inspect (and with it ast, dis and tokenize): about
+    # a fifth of a cold start, for records that NamedTuples give for free
+    assert slow_imports == "[]"
     # the package needs nothing outside the standard library (what `site`
     # loaded before the import is the environment's, not the package's)
     assert third_party == "['localantimagic']"

@@ -1,3 +1,4 @@
+import pickle
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,31 @@ def test_param_validation():
         FamilyParams(Family.M2, 2, 3, (1, 1))  # 9 != 7
     with pytest.raises(ParamError):
         FamilyParams(Family.M2, 2, 4, (0, 4))
+
+
+def test_param_validation_on_every_path():
+    """_replace, _make and unpickling build through the same checks as
+    the constructor, so no path yields invalid parameters."""
+    with pytest.raises(ParamError, match="n must be >= 1, got 0"):
+        FamilyParams(Family.M2, 1, 1)._replace(n=0)
+    with pytest.raises(ParamError, match="k must be >= 1, got 0"):
+        FamilyParams._make((Family.M2, 1, 0, None))
+    merged = FamilyParams(Family.M3, 2, 4, (1, 1))
+    with pytest.raises(ParamError, match=r"\(2r\+1\)\(2s\+1\) = 9 but 2k\+1 = 11"):
+        merged._replace(k=5)
+    assert pickle.loads(pickle.dumps(merged)) == merged
+    assert type(pickle.loads(pickle.dumps(merged))) is FamilyParams
+    assert merged._replace(n=3) == FamilyParams(Family.M3, 3, 4, (1, 1))
+
+
+def test_records_print_and_compare_as_their_fields():
+    """The records are NamedTuples: the repr names every field, as the
+    error messages that embed params expect, and a record equals the
+    plain tuple of its fields."""
+    p = FamilyParams(Family.M2, 2, 4, (1, 1))
+    assert repr(p) == "FamilyParams(family=<Family.M2: 'm2'>, n=2, k=4, factorization=(1, 1))"
+    assert p == (Family.M2, 2, 4, (1, 1))
+    assert hash(p) == hash((Family.M2, 2, 4, (1, 1)))
 
 
 def test_uv_row_is_identity():
