@@ -1,11 +1,16 @@
 """Hot search kernel for the exhaustive oracle.
 
 `search` is plain Python over lists of ints, all prepared by
-`oracle._kernel_inputs`: the endpoints of each edge in search order and,
-for each search position, the edges whose endpoints are both saturated
-(every incident edge labeled) once that position is labeled.  A vertex
-saturates at a fixed position, the last one that touches it, so pruning
-needs no degree counters or adjacency walk at search time.
+`oracle._kernel_inputs`: the endpoints of each edge in search order, the
+checks to run once each position is labeled, and a floor on the colors.
+
+Edge (a, b) adds its label to both ends, so sums[a] - sums[b] is final
+once every other edge at a or b is labeled; its check sits at the latest
+such position (0 if none), or at the last position when unpruned.  After
+position q-3 the two free labels x < y are placed inline as (x, y), then
+(y, x), so the two widest levels never scan `used`.  The sums of a valid
+labeling properly color the graph, so no leaf can beat a best count equal
+to chi(G)'s floor: from then on leaves are counted but not colored.
 """
 from __future__ import annotations
 
@@ -14,65 +19,83 @@ from __future__ import annotations
 USING_NUMBA = False
 
 
-def search(eu, ev, checks, q, n, prune):
+def search(eu, ev, checks, q, n, floor):
     """Enumerate bijections [edges] -> [1,q] in lexicographic label order.
 
     eu[pos], ev[pos] are the endpoints of the edge at search position pos
-    (vertices numbered 0..n-1); checks[pos] lists the (a, b) edges that
-    become fully saturated at pos.  Returns (best_color_count,
-    best_labels, labelings_tried, valid_count); best_color_count is 0 when
-    no bijection is local antimagic.  With prune=True a partial assignment
-    is abandoned as soon as two adjacent saturated vertices collide, so
-    labelings_tried counts only the complete assignments actually reached.
+    (vertices numbered 0..n-1); checks[pos] lists the (a, b) edges whose
+    sums are compared once pos is labeled, and every edge appears in one
+    list.  floor is a lower bound on the colors of any valid labeling.
+    Returns (best_color_count, best_labels, valid_count); best_color_count
+    is 0 when no bijection is local antimagic.
     """
+    if q < 2:  # a lone edge's ends both sum to 1; edgeless counts as none
+        return 0, [], 0
     sums = [0] * n
     assign = [0] * q
     used = [False] * (q + 1)
     best = 0
-    best_labels = assign[:]
-    tried = 0
+    best_labels = []
     valid = 0
-    final = q - 1
+    stop = q - 2
+    u1, v1, c1 = eu[stop], ev[stop], checks[stop]
+    u2, v2, c2 = eu[stop + 1], ev[stop + 1], checks[stop + 1]
     pos = 0
     lab = 1
     while True:
-        while lab <= q and used[lab]:
-            lab += 1
-        if lab > q:
-            pos -= 1
-            if pos < 0:
-                break
-            lab = assign[pos]
-            used[lab] = False
-            sums[eu[pos]] -= lab
-            sums[ev[pos]] -= lab
-            lab += 1
-            continue
-        u = eu[pos]
-        v = ev[pos]
-        sums[u] += lab
-        sums[v] += lab
-        clash = False
-        if prune:
-            for a, b in checks[pos]:
-                if sums[a] == sums[b]:
-                    clash = True
-                    break
-        if not clash:
-            assign[pos] = lab
-            if pos < final:
-                used[lab] = True
-                pos += 1
-                lab = 1
+        if pos < stop:
+            while lab <= q and used[lab]:
+                lab += 1
+            if lab <= q:
+                u = eu[pos]
+                v = ev[pos]
+                sums[u] += lab
+                sums[v] += lab
+                for a, b in checks[pos]:
+                    if sums[a] == sums[b]:
+                        break
+                else:
+                    assign[pos] = lab
+                    used[lab] = True
+                    pos += 1
+                    lab = 1
+                    continue
+                sums[u] -= lab
+                sums[v] -= lab
+                lab += 1
                 continue
-            tried += 1
-            if prune or not any(sums[a] == sums[b] for a, b in zip(eu, ev)):
-                valid += 1
-                count = len(set(sums))
-                if best == 0 or count < best:
-                    best = count
-                    best_labels = assign[:]
-        sums[u] -= lab
-        sums[v] -= lab
+        else:
+            x = used.index(False, 1)
+            y = used.index(False, x + 1)
+            for s, t in ((x, y), (y, x)):
+                sums[u1] += s
+                sums[v1] += s
+                for a, b in c1:
+                    if sums[a] == sums[b]:
+                        break
+                else:
+                    sums[u2] += t
+                    sums[v2] += t
+                    for a, b in c2:
+                        if sums[a] == sums[b]:
+                            break
+                    else:
+                        valid += 1
+                        if best != floor:
+                            count = len(set(sums))
+                            if best == 0 or count < best:
+                                best = count
+                                best_labels = assign[:stop] + [s, t]
+                    sums[u2] -= t
+                    sums[v2] -= t
+                sums[u1] -= s
+                sums[v1] -= s
+        pos -= 1
+        if pos < 0:
+            break
+        lab = assign[pos]
+        used[lab] = False
+        sums[eu[pos]] -= lab
+        sums[ev[pos]] -= lab
         lab += 1
-    return best, best_labels, tried, valid
+    return best, best_labels, valid

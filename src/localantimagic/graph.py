@@ -208,9 +208,6 @@ class LabeledGraph:
     def q(self) -> int:
         return len(self._eu)
 
-    def vertices(self) -> List[VertexId]:
-        return list(self._vertices)
-
     def sorted_edges(self) -> List[Edge]:
         return list(self._edge_list)
 
@@ -222,20 +219,12 @@ class LabeledGraph:
             inc[b].append(e)
         return inc
 
-    def incident(self) -> Dict[VertexId, List[Edge]]:
-        edges = self._edge_list
-        inc = self._incident_positions()
-        return {v: [edges[e] for e in es] for v, es in zip(self._vertices, inc)}
-
     def _position(self, v: VertexId) -> int:
         """Index of v in the sorted vertex list; KeyError if absent."""
         i = bisect_left(self._vertices, v)
         if i == len(self._vertices) or self._vertices[i] != v:
             raise KeyError(v)
         return i
-
-    def degree(self, v: VertexId) -> int:
-        return len(self.index.adj[self._position(v)])
 
     @cached_property
     def index(self) -> GraphIndex:

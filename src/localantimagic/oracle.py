@@ -2,6 +2,7 @@
 graphs, by enumerating edge-label bijections."""
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -40,23 +41,47 @@ def _search_order(g: LabeledGraph) -> List[int]:
     )
 
 
-def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple]:
-    """The search order of g's edges and the kernel's arguments
-    (eu, ev, checks, q, n) for that order.
+def _chi_floor(eu: List[int], ev: List[int], n: int) -> int:
+    """3 if the edges close an odd cycle, else 2: a floor on the colors of
+    any valid labeling.  A parity union-find of the oracle's own, so it
+    never reads the verifier's bipartiteness."""
+    up, odd = list(range(n)), [0] * n  # parent; parity of the path to it
+    for a, b in zip(eu, ev):
+        p = 1  # the edge, then each end's path to its root
+        while up[a] != a:
+            p ^= odd[a]
+            a = up[a]
+        while up[b] != b:
+            p ^= odd[b]
+            b = up[b]
+        if a != b:
+            up[a], odd[a] = b, p
+        elif p:  # the cycle closed by (a, b) is odd
+            return 3
+    return 2
 
-    A vertex saturates at the last position that touches it, and an edge
-    (a, b) can first be checked once both ends are saturated, so it goes
-    into checks[max(last[a], last[b])]."""
+
+def _kernel_inputs(g: LabeledGraph, prune: bool = True) -> Tuple[List[Edge], tuple]:
+    """The search order of g's edges and the kernel's arguments
+    (eu, ev, checks, q, n, floor) for that order.
+
+    sums[a] - sums[b] is final once every edge at a or b other than (a, b)
+    itself is labeled, so with prune the check of (a, b) goes into checks
+    at the latest position among those edges, or at 0 if there are none.
+    Without prune every check goes to the last position."""
     order = _search_order(g)
+    q, n = len(order), len(g._vertices)
     eu = [g._eu[e] for e in order]
     ev = [g._ev[e] for e in order]
-    last = [-1] * len(g._vertices)
+    top = [[-1, -1] for _ in range(n)]  # the two latest positions per vertex
     for pos, (a, b) in enumerate(zip(eu, ev)):
-        last[a] = last[b] = pos
+        top[a] = [pos, top[a][0]]
+        top[b] = [pos, top[b][0]]
     checks: List[List[Tuple[int, int]]] = [[] for _ in order]
-    for a, b in zip(eu, ev):
-        checks[max(last[a], last[b])].append((a, b))
-    return [g._edge_list[e] for e in order], (eu, ev, checks, len(order), len(last))
+    for pos, (a, b) in enumerate(zip(eu, ev)):
+        other = max(top[a][top[a][0] == pos], top[b][top[b][0] == pos])
+        checks[max(other, 0) if prune else q - 1].append((a, b))
+    return [g._edge_list[e] for e in order], (eu, ev, checks, q, n, _chi_floor(eu, ev, n))
 
 
 def exhaustive_chi_la(
@@ -65,7 +90,10 @@ def exhaustive_chi_la(
     """Try every bijection from the edges of g onto [1,q].
 
     Runtime is O(q!) in the worst case, hence the budget; the hard cap
-    at 12 edges is a safety net, not a tunable.
+    at 12 edges is a safety net, not a tunable.  With prune, a branch is
+    cut at its first adjacent-sum clash, so labelings_tried counts only
+    the complete labelings reached, which are exactly the valid ones;
+    without, it is q! (0 for an edgeless graph, which has no labeling).
     """
     q = g.q
     budget = min(edge_budget, HARD_EDGE_LIMIT)
@@ -75,12 +103,12 @@ def exhaustive_chi_la(
             f"graph has {q} edges, over the budget of {budget}{capped}; "
             f"the oracle enumerates q! bijections and refuses large inputs"
         )
-    order, inputs = _kernel_inputs(g)
-    best, best_labels, tried, valid = _kernels.search(*inputs, prune)
+    order, inputs = _kernel_inputs(g, prune)
+    best, best_labels, valid = _kernels.search(*inputs)
     return OracleResult(
         chi_la=best or None,
         witness=dict(zip(order, best_labels)) if best else None,
-        labelings_tried=tried,
+        labelings_tried=valid if prune or not q else math.factorial(q),
         valid_labelings=valid,
     )
 

@@ -142,7 +142,7 @@ def test_merge_g433(g433):
     components, degs, _ = graph_stats(g433)
     assert components == 2
     merged = [v for v in g433.part if v.role in (Role.MY, Role.MZ, Role.MX)]
-    assert all(g433.degree(v) == 6 for v in merged)
+    assert all(len(g433.index.adj[g433._position(v)]) == 6 for v in merged)
     colors = induced_colors(g433)
     assert all(colors[v] == 273 for v in merged)
 
@@ -339,9 +339,10 @@ PINNED_FIRST_STEPS = {
 
 def counted_connecting_swaps(g):
     """sum over eligible center pairs and shared label sums s of
-    |A_s| * |B_s|, from incident() and labels alone; components by
+    |A_s| * |B_s|, from incident edges and labels alone; components by
     union-find."""
-    inc = g.incident()
+    edges = g.sorted_edges()
+    inc = {v: [edges[e] for e in es] for v, es in zip(g._vertices, g._incident_positions())}
     root = {v: v for v in inc}
 
     def find(v):

@@ -350,20 +350,26 @@ INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
 
 @pytest.mark.parametrize("g", INDEXED)
 def test_index_degrees_match_incident_edges_and_kernel_csr(g):
-    inc = g.incident()
-    assert {v: g.degree(v) for v in g.part} == {v: len(es) for v, es in inc.items()}
-    order, (eu, ev, checks, q, n) = _kernel_inputs(g)
-    verts = g.vertices()
+    inc = g._incident_positions()
+    assert list(map(len, g.index.adj)) == list(map(len, inc))
+    order, (eu, ev, checks, q, n, floor) = _kernel_inputs(g)
+    verts = g._vertices
     assert n == len(verts) and q == g.q == len(order) == len(checks)
     assert [(verts[a], verts[b]) for a, b in zip(eu, ev)] == order
-    # each edge is checked once, when the later of its ends saturates:
-    # at the last search position among that vertex's incident edges
+    assert floor == (2 if g.index.bipartite else 3)
+    # each edge (a, b) is checked once, as soon as sums[a] - sums[b] is
+    # final: at the latest search position among the other edges at a or
+    # b, or at 0 if there are none
+    edges = g.sorted_edges()
     pos_of = {e: pos for pos, e in enumerate(order)}
-    last = {v: max(map(pos_of.__getitem__, es)) for v, es in inc.items() if es}
+    at = {v: {pos_of[edges[e]] for e in es} for v, es in zip(verts, inc)}
     of = {v: i for i, v in enumerate(verts)}
-    assert sorted((max(last[a], last[b]), (of[a], of[b])) for a, b in order) == sorted(
-        (pos, pair) for pos, pairs in enumerate(checks) for pair in pairs
-    )
+    want = [(max((at[a] | at[b]) - {pos_of[a, b]}, default=0), (of[a], of[b])) for a, b in order]
+    assert sorted(want) == sorted((pos, pair) for pos, pairs in enumerate(checks) for pair in pairs)
+    # unpruned, every check waits for the last position
+    unpruned = _kernel_inputs(g, prune=False)[1]
+    assert unpruned[2] == [[] for _ in range(q - 1)] + [list(zip(eu, ev))]
+    assert unpruned[:2] + unpruned[3:] == (eu, ev, q, n, floor)
 
 
 def _swapped(params):
@@ -385,7 +391,7 @@ def test_array_built_graph_equals_its_dict_and_json_copies(g):
     copy = LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=dict(g.labels))
     assert g == copy and copy == g
     assert set(g.labels) == g.edges
-    assert sorted(g.part) == g.vertices()
+    assert sorted(g.part) == g._vertices
     assert g.sorted_edges() == sorted(g.edges)
     e = g.sorted_edges()[0]
     changed = dict(g.labels)

@@ -87,7 +87,7 @@ def test_permutation_invariance():
     g = book_graph(2, 1)
     swapped_part = {}
     mapping = {}
-    for v in g.vertices():
+    for v in sorted(g.part):
         nv = VertexId(v.role, v.copy_index + 5, v.leaf_index)
         mapping[v] = nv
         swapped_part[nv] = g.part[v]
@@ -150,23 +150,72 @@ def _reference_chi_la(g):
     return best, witness, valid
 
 
+def _ring(k, closed=False, isolated=0):
+    """The path on k vertices (the cycle when closed) in parts 1, 2
+    alternately, part 3 closing an odd cycle, plus isolated part-3
+    vertices."""
+    vs = [VertexId(Role.X, 1 + i % 2, i + 1) for i in range(k)]
+    if closed and k % 2:
+        vs[-1] = VertexId(Role.X, 3, k)
+    pairs = list(zip(vs, vs[1:])) + ([(vs[-1], vs[0])] if closed else [])
+    part = {v: v.copy_index for v in vs}
+    part.update((VertexId(Role.Y, 1, j), 3) for j in range(1, isolated + 1))
+    return LabeledGraph(part=part, edges={edge(a, b) for a, b in pairs})
+
+
+def _with_isolated_vertex(g):
+    return LabeledGraph(part={**g.part, VertexId(Role.Y, 9, 1): 3}, edges=set(g.edges))
+
+
+# bipartite, q = 7, chi_la = 2: both sides have one sum each (7 and 14)
+_TWO_COLORS = LabeledGraph(
+    part={VertexId(Role.X, p, i): p for p, i in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2))},
+    edges={edge(VertexId(Role.X, 1, a), VertexId(Role.X, 2, b))
+           for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2))},
+)
+
 REFERENCE_GRAPHS = [book_graph(1, 1), book_graph(1, 2), book_graph(2, 1), book_graph(1, 3),
                     path_p2()]
 REFERENCE_GRAPHS += [_random_tripartite(random.Random(seed), q)
                      for seed, q in enumerate((4, 5, 6, 6, 7, 7))]
+REFERENCE_GRAPHS += [
+    _ring(1),  # q = 0
+    _ring(3), book_graph(2, 0),  # q = 2: P_3 and two disjoint edges
+    _ring(4), _ring(5), _ring(4, closed=True), _ring(6, closed=True),  # floor 2
+    _ring(5, closed=True),  # odd cycle
+    _ring(3, isolated=1), _with_isolated_vertex(book_graph(1, 1)),
+    _TWO_COLORS,
+]
 
 
 def test_fallback_kernel_agrees():
-    # the search kernel against a plain enumeration of every bijection;
-    # one random graph has an isolated vertex, whose sum 0 is a color
+    # the search kernel against a plain enumeration of every bijection, on
+    # q = 0..7, bipartite graphs (floor 2) and graphs with odd cycles
+    # (floor 3), each floor reached by some graph.  An isolated vertex's
+    # sum 0 is one more color, so graphs with one never reach the floor;
+    # two such graphs check the color count there.
     assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in REFERENCE_GRAPHS)
+    assert {0, 1, 2, 3} <= {g.q for g in REFERENCE_GRAPHS}
+    reached = set()
     for g in REFERENCE_GRAPHS:
-        chi, witness, valid = _reference_chi_la(g)
+        # an edgeless graph has no labeling to the oracle, though the
+        # enumeration counts the empty map as one
+        chi, witness, valid = _reference_chi_la(g) if g.q else (None, None, 0)
+        floor = _kernel_inputs(g)[1][-1]
+        if chi == floor:
+            reached.add(floor)
         for prune in (True, False):
             r = exhaustive_chi_la(g, prune=prune)
-            assert (r.chi_la, r.valid_labelings) == (chi, valid)
-            assert r.witness == witness
-            assert r.labelings_tried == (valid if prune else math.factorial(g.q))
+            tried = valid if prune or not g.q else math.factorial(g.q)
+            assert r == (chi, witness, tried, valid)
+    assert reached == {2, 3}
+
+
+def test_floor_is_two_exactly_on_bipartite_graphs():
+    # the oracle's parity union-find against the graph index's BFS
+    floors = [_kernel_inputs(g)[1][-1] for g in REFERENCE_GRAPHS]
+    assert floors == [2 if g.index.bipartite else 3 for g in REFERENCE_GRAPHS]
+    assert floors.count(2) >= 8 and floors.count(3) >= 8
 
 
 def test_cross_check_valid_triangle():
