@@ -163,10 +163,6 @@ def _ring(k, closed=False, isolated=0):
     return LabeledGraph(part=part, edges={edge(a, b) for a, b in pairs})
 
 
-def _with_isolated_vertex(g):
-    return LabeledGraph(part={**g.part, VertexId(Role.Y, 9, 1): 3}, edges=set(g.edges))
-
-
 # bipartite, q = 7, chi_la = 2: both sides have one sum each (7 and 14)
 _TWO_COLORS = LabeledGraph(
     part={VertexId(Role.X, p, i): p for p, i in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2))},
@@ -183,7 +179,7 @@ REFERENCE_GRAPHS += [
     _ring(3), book_graph(2, 0),  # q = 2: P_3 and two disjoint edges
     _ring(4), _ring(5), _ring(4, closed=True), _ring(6, closed=True),  # floor 2
     _ring(5, closed=True),  # odd cycle
-    _ring(3, isolated=1), _with_isolated_vertex(book_graph(1, 1)),
+    _ring(3, isolated=1), _ring(3, closed=True, isolated=1),
     _TWO_COLORS,
 ]
 
@@ -193,7 +189,7 @@ def test_fallback_kernel_agrees():
     # q = 0..7, bipartite graphs (floor 2) and graphs with odd cycles
     # (floor 3), each floor reached by some graph.  An isolated vertex's
     # sum 0 is one more color, so graphs with one never reach the floor;
-    # two such graphs check the color count there.
+    # those graphs check the color count there.
     assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in REFERENCE_GRAPHS)
     assert {0, 1, 2, 3} <= {g.q for g in REFERENCE_GRAPHS}
     reached = set()
