@@ -70,7 +70,8 @@ def main(out: Path) -> None:
             out, f"{name}-swapped", ["build", *args, "--stage", "merged", "--swaps", first]
         )
     for preset, a, m in (
-        ("book", 1, 1), ("book", 1, 2), ("book", 2, 1), ("book", 1, 3), ("p2", 1, 1)
+        ("book", 1, 1), ("book", 1, 2), ("book", 2, 1), ("book", 1, 3), ("book", 3, 1),
+        ("p2", 1, 1),
     ):
         args = ["oracle", "--preset", preset, "-a", a, "-m", m]
         run([*args, "--out", out / f"oracle-{preset}-a{a}-m{m}.json"])

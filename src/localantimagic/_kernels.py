@@ -2,7 +2,8 @@
 
 `search` is plain Python over lists of ints, all prepared by
 `oracle._kernel_inputs`: the endpoints of each edge in search order, the
-checks to run once each position is labeled, and a floor on the colors.
+checks to run once each position is labeled, a bound per position and a
+floor on the colors.
 
 Edge (a, b) adds its label to both ends, so sums[a] - sums[b] is final
 once every other edge at a or b is labeled; its check sits at the latest
@@ -11,6 +12,12 @@ position q-3 the two free labels x < y are placed inline as (x, y), then
 (y, x), so the two widest levels never scan `used`.  The sums of a valid
 labeling properly color the graph, so no leaf can beat a best count equal
 to chi(G)'s floor: from then on leaves are counted but not colored.
+
+The bound keeps one labeling per orbit of the oracle's twin swaps: the
+label at pos must exceed the label at low[pos], so the scan at pos starts
+at assign[low[pos]] + 1, and the inline last two check the same.  A free
+position's low is the slot assign[q], which stays 0, so the main loop
+has no branch for it.
 """
 from __future__ import annotations
 
@@ -19,20 +26,22 @@ from __future__ import annotations
 USING_NUMBA = False
 
 
-def search(eu, ev, checks, q, n, floor):
-    """Enumerate bijections [edges] -> [1,q] in lexicographic label order.
+def search(eu, ev, checks, low, q, n, floor):
+    """Enumerate bijections [edges] -> [1,q] in lexicographic label order,
+    keeping those with assign[pos] > assign[low[pos]] at every position.
 
     eu[pos], ev[pos] are the endpoints of the edge at search position pos
     (vertices numbered 0..n-1); checks[pos] lists the (a, b) edges whose
     sums are compared once pos is labeled, and every edge appears in one
-    list.  floor is a lower bound on the colors of any valid labeling.
-    Returns (best_color_count, best_labels, valid_count); best_color_count
-    is 0 when no bijection is local antimagic.
+    list.  low[pos] is an earlier position, or q (whose label is always 0)
+    for no bound.  floor is a lower bound on the colors of any valid
+    labeling.  Returns (best_color_count, best_labels, valid_count) over
+    the labelings kept; valid_count is 0 when none is local antimagic.
     """
-    if q < 2:  # a lone edge's ends both sum to 1; edgeless counts as none
-        return 0, [], 0
+    if q < 2:  # edgeless: the empty map, one color; a lone edge's ends tie
+        return (min(n, 1), [], 1) if q == 0 else (0, [], 0)
     sums = [0] * n
-    assign = [0] * q
+    assign = [0] * (q + 1)  # assign[q] stays 0: the bound of free positions
     used = [False] * (q + 1)
     best = 0
     best_labels = []
@@ -40,6 +49,7 @@ def search(eu, ev, checks, q, n, floor):
     stop = q - 2
     u1, v1, c1 = eu[stop], ev[stop], checks[stop]
     u2, v2, c2 = eu[stop + 1], ev[stop + 1], checks[stop + 1]
+    low1, low2 = low[stop], low[stop + 1]
     pos = 0
     lab = 1
     while True:
@@ -58,7 +68,7 @@ def search(eu, ev, checks, q, n, floor):
                     assign[pos] = lab
                     used[lab] = True
                     pos += 1
-                    lab = 1
+                    lab = assign[low[pos]] + 1
                     continue
                 sums[u] -= lab
                 sums[v] -= lab
@@ -67,7 +77,11 @@ def search(eu, ev, checks, q, n, floor):
         else:
             x = used.index(False, 1)
             y = used.index(False, x + 1)
+            lo = assign[low1]
             for s, t in ((x, y), (y, x)):
+                assign[stop] = s  # low2 may be stop itself
+                if s < lo or t < assign[low2]:  # labels differ: never equal
+                    continue
                 sums[u1] += s
                 sums[v1] += s
                 for a, b in c1:

@@ -137,7 +137,7 @@ def oracle(args: argparse.Namespace) -> None:
         "chi_la": result.chi_la,
         "witness": (
             {f"{e[0]} {e[1]}": lab for e, lab in sorted(result.witness.items())}
-            if result.witness
+            if result.witness is not None
             else None
         ),
         "labelings_tried": result.labelings_tried,

@@ -352,7 +352,7 @@ INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
 def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     inc = g._incident_positions()
     assert list(map(len, g.index.adj)) == list(map(len, inc))
-    order, (eu, ev, checks, q, n, floor) = _kernel_inputs(g)
+    order, (eu, ev, checks, _, q, n, floor), _ = _kernel_inputs(g)
     verts = g._vertices
     assert n == len(verts) and q == g.q == len(order) == len(checks)
     assert [(verts[a], verts[b]) for a, b in zip(eu, ev)] == order
@@ -366,10 +366,12 @@ def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     of = {v: i for i, v in enumerate(verts)}
     want = [(max((at[a] | at[b]) - {pos_of[a, b]}, default=0), (of[a], of[b])) for a, b in order]
     assert sorted(want) == sorted((pos, pair) for pos, pairs in enumerate(checks) for pair in pairs)
-    # unpruned, every check waits for the last position
-    unpruned = _kernel_inputs(g, prune=False)[1]
+    # unpruned, every check waits for the last position and no twin swap
+    # bounds the search
+    _, unpruned, no_twins = _kernel_inputs(g, prune=False)
     assert unpruned[2] == [[] for _ in range(q - 1)] + [list(zip(eu, ev))]
-    assert unpruned[:2] + unpruned[3:] == (eu, ev, q, n, floor)
+    assert unpruned[3] == [q] * q and no_twins == []
+    assert unpruned[:2] + unpruned[4:] == (eu, ev, q, n, floor)
 
 
 def _swapped(params):

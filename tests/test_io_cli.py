@@ -278,6 +278,20 @@ def test_cli_verify_and_oracle_accept_the_triangle(runner, tmp_path):
     assert json.loads(result.output)["chi_la"] == 3
 
 
+def test_cli_oracle_labels_an_edgeless_graph(runner, tmp_path):
+    # the empty map is the one labeling of a graph with no edges: it is
+    # valid and its vertices all sum to 0, one color
+    path = triangle_file(tmp_path, [])
+    for extra in ([], ["--no-prune"]):
+        result = runner.invoke(main, ["oracle", "--graph", str(path), *extra])
+        assert result.exit_code == 0
+        assert "no local antimagic labeling" not in result.output
+        assert json.loads(result.output) == {
+            "format_version": 1, "chi_la": 1, "witness": {},
+            "labelings_tried": 1, "valid_labelings": 1,
+        }
+
+
 @pytest.mark.parametrize(
     "section, field, value, message",
     [

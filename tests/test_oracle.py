@@ -99,7 +99,7 @@ def test_permutation_invariance():
 
 
 def test_prune_matches_no_prune():
-    for graph in (book_graph(1, 2), book_graph(2, 1), book_graph(1, 3)):
+    for graph in REFERENCE_GRAPHS:
         a = exhaustive_chi_la(graph, edge_budget=12, prune=True)
         b = exhaustive_chi_la(graph, edge_budget=12, prune=False)
         assert a.chi_la == b.chi_la
@@ -184,27 +184,90 @@ REFERENCE_GRAPHS += [
 ]
 
 
+def _graph(pairs):
+    """The graph on the given edges, vertex (p, i) in part p."""
+    ends = [(VertexId(Role.X, *a), VertexId(Role.X, *b)) for a, b in pairs]
+    return LabeledGraph(part={v: v.copy_index for e in ends for v in e},
+                        edges={edge(a, b) for a, b in ends})
+
+
+# twin pairs: K_{2,3} has four, all overlapping; the triangle with two
+# pendants on one corner has two disjoint ones (the pendants, and the
+# other two corners, which are adjacent); the star K_{1,3} plus an edge
+# between two leaves has one adjacent pair
+TWINS = [
+    _graph([((1, a), (2, b)) for a in (1, 2) for b in (1, 2, 3)]),
+    _graph([((1, 1), (2, 1)), ((1, 1), (3, 1)), ((2, 1), (3, 1)),
+            ((1, 1), (2, 2)), ((1, 1), (2, 3))]),
+    _graph([((1, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (2, 2)), ((2, 1), (3, 1))]),
+]
+REFERENCE_GRAPHS += TWINS
+
+
 def test_fallback_kernel_agrees():
     # the search kernel against a plain enumeration of every bijection, on
-    # q = 0..7, bipartite graphs (floor 2) and graphs with odd cycles
-    # (floor 3), each floor reached by some graph.  An isolated vertex's
-    # sum 0 is one more color, so graphs with one never reach the floor;
-    # those graphs check the color count there.
+    # q = 0..7, bipartite graphs (floor 2), graphs with odd cycles (floor
+    # 3), each floor reached by some graph, and graphs with twins.  An
+    # isolated vertex's sum 0 is one more color, so graphs with one never
+    # reach the floor; those graphs check the color count there.
     assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in REFERENCE_GRAPHS)
     assert {0, 1, 2, 3} <= {g.q for g in REFERENCE_GRAPHS}
     reached = set()
     for g in REFERENCE_GRAPHS:
-        # an edgeless graph has no labeling to the oracle, though the
-        # enumeration counts the empty map as one
-        chi, witness, valid = _reference_chi_la(g) if g.q else (None, None, 0)
+        chi, witness, valid = _reference_chi_la(g)
         floor = _kernel_inputs(g)[1][-1]
         if chi == floor:
             reached.add(floor)
         for prune in (True, False):
             r = exhaustive_chi_la(g, prune=prune)
-            tried = valid if prune or not g.q else math.factorial(g.q)
+            tried = valid if prune else math.factorial(g.q)
             assert r == (chi, witness, tried, valid)
     assert reached == {2, 3}
+
+
+def _twin_pairs(g):
+    """Vertex positions x < y with N(x) - {y} == N(y) - {x} != {}, in order."""
+    vs = g._vertices
+    nbrs = {v: set() for v in vs}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [(x, y) for x, y in itertools.combinations(range(len(vs)), 2)
+            if nbrs[vs[x]] - {vs[y]} == nbrs[vs[y]] - {vs[x]} != set()]
+
+
+def test_twin_swaps_are_disjoint_automorphisms():
+    # each kept pair's vertex swap maps the edge set onto itself, kept
+    # pairs move disjoint edges, a candidate is refused only when it moves
+    # an edge that an earlier kept pair moves, and low marks the image of
+    # each kept swap's first moved position with that position
+    kept = {}
+    for g in REFERENCE_GRAPHS:
+        order, inputs, twins = _kernel_inputs(g)
+        low, q = inputs[3], inputs[4]
+        at = {e: pos for pos, e in enumerate(order)}
+        want_low, moved = [q] * q, set()
+        for x, y in _twin_pairs(g):
+            swap = {g._vertices[x]: g._vertices[y], g._vertices[y]: g._vertices[x]}
+            image = {e: edge(swap.get(e[0], e[0]), swap.get(e[1], e[1])) for e in order}
+            assert set(image.values()) == set(order)
+            moves = {at[e] for e in order if image[e] != e}
+            assert moves
+            assert ((x, y) in twins) == moved.isdisjoint(moves)
+            if (x, y) in twins:
+                moved |= moves
+                first = min(moves)
+                want_low[at[image[order[first]]]] = first
+        assert low == want_low
+        assert _kernel_inputs(g, prune=False)[2] == []
+        kept[id(g)] = (len(twins), len(_twin_pairs(g)))
+    k23, pendants, paw = TWINS
+    c4 = _ring(4, closed=True)
+    assert kept[id(k23)] == (1, 4)
+    assert kept[id(pendants)] == (2, 2)
+    assert kept[id(paw)] == (1, 1)
+    assert _kernel_inputs(c4)[2] == [(0, 1)] and len(_twin_pairs(c4)) == 2
+    assert sum(k for k, _ in kept.values()) >= 20
 
 
 def test_floor_is_two_exactly_on_bipartite_graphs():
