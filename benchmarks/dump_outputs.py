@@ -7,8 +7,8 @@ Usage:
 Then compare the directories written from two checkouts with `diff -r`.
 Covers `matrix` CSV and JSON, `build` in json/dot/graph6 (+ labels
 sidecar), `verify` certificates, `swaps` JSON, `build --swaps`, `oracle`
-JSON on small presets with and without pruning, and `sweep` JSON with the
-`runtime_ms` timing field removed.
+JSON on small presets, and `sweep` JSON with the `runtime_ms` timing field
+removed.
 """
 import json
 import sys
@@ -75,7 +75,6 @@ def main(out: Path) -> None:
     ):
         args = ["oracle", "--preset", preset, "-a", a, "-m", m]
         run([*args, "--out", out / f"oracle-{preset}-a{a}-m{m}.json"])
-        run([*args, "--no-prune", "--out", out / f"oracle-{preset}-a{a}-m{m}-no-prune.json"])
     for name, args in (
         ("crossed", ["-n", "1..3", "-k", "1..4"]),
         ("merged", ["-n", "1..3", "--rs", "1..2"]),

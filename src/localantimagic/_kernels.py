@@ -7,11 +7,11 @@ floor on the colors.
 
 Edge (a, b) adds its label to both ends, so sums[a] - sums[b] is final
 once every other edge at a or b is labeled; its check sits at the latest
-such position (0 if none), or at the last position when unpruned.  After
-position q-3 the two free labels x < y are placed inline as (x, y), then
-(y, x), so the two widest levels never scan `used`.  The sums of a valid
-labeling properly color the graph, so no leaf can beat a best count equal
-to chi(G)'s floor: from then on leaves are counted but not colored.
+such position (0 if none).  After position q-3 the two free labels
+x < y are placed inline as (x, y), then (y, x), so the two widest levels
+never scan `used`.  The sums of a valid labeling properly color the
+graph, so no leaf can beat a best count equal to chi(G)'s floor: from
+then on leaves are counted but not colored.
 
 The bound keeps one labeling per orbit of the oracle's twin swaps: the
 label at pos must exceed the label at low[pos], so the scan at pos starts

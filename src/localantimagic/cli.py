@@ -127,11 +127,9 @@ def oracle(args: argparse.Namespace) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
     if args.graph:
         g = io.graph_from_json(_read(args.graph))
-    elif args.preset:
-        g = PRESETS[args.preset](args.a, args.m)
     else:
-        raise ParamError("need --preset or --graph")
-    result = exhaustive_chi_la(g, edge_budget=args.budget, prune=not args.no_prune)
+        g = PRESETS[args.preset](args.a, args.m)
+    result = exhaustive_chi_la(g, edge_budget=args.budget)
     payload = {
         "format_version": io.FORMAT_VERSION,
         "chi_la": result.chi_la,
@@ -198,12 +196,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     sub.add_argument("--out")
 
     sub = command(oracle)
-    sub.add_argument("--preset", choices=sorted(PRESETS))
+    graph = sub.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--preset", choices=sorted(PRESETS))
+    graph.add_argument("--graph")
     sub.add_argument("-a", type=int, default=1, help="number of P_2 copies")
     sub.add_argument("-m", type=int, default=1, help="number of joined leaves")
-    sub.add_argument("--graph")
     sub.add_argument("--budget", type=int, default=10, help="[default: %(default)s]")
-    sub.add_argument("--no-prune", action="store_true")
     sub.add_argument("--out")
 
     sub = command(swaps, "-n", "-k", "-r", "-s")

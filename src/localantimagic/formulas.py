@@ -2,7 +2,7 @@
 graph construction."""
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .matrices import Family, FamilyParams, ParamError
 
@@ -89,20 +89,22 @@ def distinctness_certificate(params: FamilyParams) -> DistinctnessCertificate:
     )
 
 
-def expected_branch_signs(
-    cert: DistinctnessCertificate,
-) -> Tuple[Optional[int], int]:
+def expected_branch_signs(cert: DistinctnessCertificate) -> Tuple[int, int]:
     """Sign each case branch predicts for (center-u, center-v).
 
     For the second family the published case analysis of the center-vs-u
     difference tracks a u-color expression that disagrees with the actual
-    column sums, so its sign prediction is unreliable there; we return
-    None and rely on the numeric nonzero check instead.
+    column sums, so its sign comes from this lemma instead.  With
+    K = 4k+2 = 2(2r+1)(2s+1), c_center - c_u = K(n+1)(4s+1-3n) - K/2 + 2s - n.
+    If 3n <= 4s, that is at least 2K - K/2 + 2s - n > 0; otherwise
+    4s+1-3n <= 0 and it is at most -K/2 + 2s - n < 0, since K/2 >= 3(2s+1).
     """
+    n = cert.params.n
+    _, s = cert.params.factorization
     if cert.params.family is Family.M2:
-        sign_u: Optional[int] = 1 if cert.branch_center_u == "2s >= n" else -1
+        sign_u = 1 if cert.branch_center_u == "2s >= n" else -1
         sign_v = -1 if cert.branch_center_v == "2s - n <= -2" else 1
     else:
-        sign_u = None
+        sign_u = 1 if 3 * n <= 4 * s else -1
         sign_v = 1 if cert.branch_center_v == "4s >= n" else -1
     return sign_u, sign_v

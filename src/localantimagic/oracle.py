@@ -2,7 +2,6 @@
 graphs, by enumerating edge-label bijections."""
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -61,24 +60,21 @@ def _chi_floor(eu: List[int], ev: List[int], n: int) -> int:
     return 2
 
 
-def _kernel_inputs(
-    g: LabeledGraph, prune: bool = True
-) -> Tuple[List[Edge], tuple, List[Tuple[int, int]]]:
+def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple, List[Tuple[int, int]]]:
     """The search order of g's edges, the kernel's arguments
     (eu, ev, checks, low, q, n, floor) for that order, and the twin pairs
     whose swaps `low` breaks.
 
     sums[a] - sums[b] is final once every edge at a or b other than (a, b)
-    itself is labeled, so with prune the check of (a, b) goes into checks
-    at the latest position among those edges, or at 0 if there are none.
-    Without prune every check goes to the last position.
+    itself is labeled, so the check of (a, b) goes into checks at the
+    latest position among those edges, or at 0 if there are none.
 
-    With prune, twins x < y (vertex positions with N(x) - {y} equal to
-    N(y) - {x}, not empty) are taken in order, and a pair is kept when its
-    swap, (x, w) <-> (y, w) for each common neighbour w, moves no edge that
-    a kept pair moves.  The swap maps valid labelings to valid ones with
-    as many colors; for its first moved position p, low[swap(p)] = p
-    bounds the search to labelings with the smaller label at p."""
+    Twins x < y (vertex positions with N(x) - {y} equal to N(y) - {x}, not
+    empty) are taken in order, and a pair is kept when its swap, (x, w) <->
+    (y, w) for each common neighbour w, moves no edge that a kept pair
+    moves.  The swap maps valid labelings to valid ones with as many
+    colors; for its first moved position p, low[swap(p)] = p bounds the
+    search to labelings with the smaller label at p."""
     order = _search_order(g)
     q, n = len(order), len(g._vertices)
     eu = [g._eu[e] for e in order]
@@ -88,49 +84,45 @@ def _kernel_inputs(
         top[a] = [pos, top[a][0]]
         top[b] = [pos, top[b][0]]
     checks: List[List[Tuple[int, int]]] = [[] for _ in order]
+    at = {}  # the search position of each edge, by its ends
     for pos, (a, b) in enumerate(zip(eu, ev)):
         other = max(top[a][top[a][0] == pos], top[b][top[b][0] == pos])
-        checks[max(other, 0) if prune else q - 1].append((a, b))
+        checks[max(other, 0)].append((a, b))
+        at[a, b] = at[b, a] = pos
     low = [q] * q
     twins: List[Tuple[int, int]] = []
-    if prune:
-        at = {}  # the search position of each edge, by its ends
-        for pos, (a, b) in enumerate(zip(eu, ev)):
-            at[a, b] = at[b, a] = pos
-        nbrs = [set(adj) for adj in g.index.adj]
-        moved: set = set()
-        for x in range(n):
-            for y in range(x + 1, n):
-                common = nbrs[x] - {y}
-                if not common or common != nbrs[y] - {x}:
-                    continue
-                swap = {at[x, w]: at[y, w] for w in common}
-                swap.update({b: a for a, b in swap.items()})
-                if moved.isdisjoint(swap):
-                    moved.update(swap)
-                    p = min(swap)
-                    low[swap[p]] = p
-                    twins.append((x, y))
+    nbrs = [set(adj) for adj in g.index.adj]
+    moved: set = set()
+    for x in range(n):
+        for y in range(x + 1, n):
+            common = nbrs[x] - {y}
+            if not common or common != nbrs[y] - {x}:
+                continue
+            swap = {at[x, w]: at[y, w] for w in common}
+            swap.update({b: a for a, b in swap.items()})
+            if moved.isdisjoint(swap):
+                moved.update(swap)
+                p = min(swap)
+                low[swap[p]] = p
+                twins.append((x, y))
     inputs = (eu, ev, checks, low, q, n, _chi_floor(eu, ev, n))
     return [g._edge_list[e] for e in order], inputs, twins
 
 
-def exhaustive_chi_la(
-    g: LabeledGraph, edge_budget: int = 10, prune: bool = True
-) -> OracleResult:
+def exhaustive_chi_la(g: LabeledGraph, edge_budget: int = 10) -> OracleResult:
     """Try every bijection from the edges of g onto [1,q].
 
     Runtime is O(q!) in the worst case, hence the budget; the hard cap
-    at 12 edges is a safety net, not a tunable.  With prune, a branch is
-    cut at its first adjacent-sum clash, and the k kept twin swaps (see
+    at 12 edges is a safety net, not a tunable.  A branch is cut at its
+    first adjacent-sum clash, and the k kept twin swaps (see
     `_kernel_inputs`) commute and move disjoint edges, so each orbit of
     2^k labelings has exactly one member that the search visits; validity
     and colors are the same across an orbit, so the valid count is the
     kernel's times 2^k.  The lexicographically first labeling with the
     fewest colors is the first of its orbit, so the search still visits
-    it.  labelings_tried is then the valid count, not the number of
-    complete labelings visited; without prune it is q!.  An edgeless
-    graph has one labeling, the empty map, which is valid.
+    it.  labelings_tried equals the valid count; it is kept for the JSON
+    schema.  An edgeless graph has one labeling, the empty map, which is
+    valid.
     """
     q = g.q
     budget = min(edge_budget, HARD_EDGE_LIMIT)
@@ -140,13 +132,13 @@ def exhaustive_chi_la(
             f"graph has {q} edges, over the budget of {budget}{capped}; "
             f"the oracle enumerates q! bijections and refuses large inputs"
         )
-    order, inputs, twins = _kernel_inputs(g, prune)
+    order, inputs, twins = _kernel_inputs(g)
     best, best_labels, valid = _kernels.search(*inputs)
     valid <<= len(twins)
     return OracleResult(
         chi_la=best if valid else None,
         witness=dict(zip(order, best_labels)) if valid else None,
-        labelings_tried=valid if prune else math.factorial(q),
+        labelings_tried=valid,
         valid_labelings=valid,
     )
 
@@ -209,9 +201,7 @@ def book_graph(a: int, m: int) -> LabeledGraph:
 
 
 def path_p2() -> LabeledGraph:
-    u = VertexId(Role.U, 1)
-    v = VertexId(Role.V, 1)
-    return LabeledGraph(part={u: 1, v: 2}, edges={edge(u, v)})
+    return book_graph(1, 0)
 
 
 PRESETS = {

@@ -118,8 +118,7 @@ def test_certificate_signs_match_branches(family, n, r, s):
     cert = distinctness_certificate(FamilyParams(family, n, k, (r, s)))
     sign_u, sign_v = expected_branch_signs(cert)
     assert cert.diff_center_u != 0 and cert.diff_center_v != 0
-    if sign_u is not None:
-        assert (cert.diff_center_u > 0) == (sign_u > 0)
+    assert (cert.diff_center_u > 0) == (sign_u > 0)
     assert (cert.diff_center_v > 0) == (sign_v > 0)
 
 

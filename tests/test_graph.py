@@ -366,12 +366,6 @@ def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     of = {v: i for i, v in enumerate(verts)}
     want = [(max((at[a] | at[b]) - {pos_of[a, b]}, default=0), (of[a], of[b])) for a, b in order]
     assert sorted(want) == sorted((pos, pair) for pos, pairs in enumerate(checks) for pair in pairs)
-    # unpruned, every check waits for the last position and no twin swap
-    # bounds the search
-    _, unpruned, no_twins = _kernel_inputs(g, prune=False)
-    assert unpruned[2] == [[] for _ in range(q - 1)] + [list(zip(eu, ev))]
-    assert unpruned[3] == [q] * q and no_twins == []
-    assert unpruned[:2] + unpruned[4:] == (eu, ev, q, n, floor)
 
 
 def _swapped(params):

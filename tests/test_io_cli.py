@@ -282,14 +282,13 @@ def test_cli_oracle_labels_an_edgeless_graph(runner, tmp_path):
     # the empty map is the one labeling of a graph with no edges: it is
     # valid and its vertices all sum to 0, one color
     path = triangle_file(tmp_path, [])
-    for extra in ([], ["--no-prune"]):
-        result = runner.invoke(main, ["oracle", "--graph", str(path), *extra])
-        assert result.exit_code == 0
-        assert "no local antimagic labeling" not in result.output
-        assert json.loads(result.output) == {
-            "format_version": 1, "chi_la": 1, "witness": {},
-            "labelings_tried": 1, "valid_labelings": 1,
-        }
+    result = runner.invoke(main, ["oracle", "--graph", str(path)])
+    assert result.exit_code == 0
+    assert "no local antimagic labeling" not in result.output
+    assert json.loads(result.output) == {
+        "format_version": 1, "chi_la": 1, "witness": {},
+        "labelings_tried": 1, "valid_labelings": 1,
+    }
 
 
 @pytest.mark.parametrize(
@@ -606,11 +605,16 @@ def _cli_process(*args):
         ["nonsense"],
         ["matrix", "--family", "bad", "-n", "1", "-k", "1"],
         ["matrix", "--fam", "m2", "-n", "1", "-k", "1"],
+        ["oracle", "--preset", "book", "-a", "3", "-m", "1", "--graph", "{graph}"],
+        ["oracle", "-a", "3", "-m", "1"],
     ],
-    ids=["no-command", "unknown-command", "bad-choice", "abbreviated-option"],
+    ids=["no-command", "unknown-command", "bad-choice", "abbreviated-option",
+         "oracle-preset-and-graph", "oracle-no-graph"],
 )
-def test_cli_process_usage_error_exits_2(args):
-    proc = _cli_process(*args)
+def test_cli_process_usage_error_exits_2(args, tmp_path):
+    # a valid graph file, so that only the usage can be at fault
+    graph = str(triangle_file(tmp_path, TRIANGLE))
+    proc = _cli_process(*(arg.replace("{graph}", graph) for arg in args))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.lower().startswith("usage: ")
@@ -635,7 +639,7 @@ COMMAND_OPTIONS = {
     "build": ["--family", "-n", "-k", "-r", "-s", "--stage", "--format", "--swaps", "--out"],
     "verify": ["GRAPH_FILE", "--out"],
     "sweep": ["-n", "-k", "--rs", "--family", "--out"],
-    "oracle": ["--preset", "-a", "-m", "--graph", "--budget", "--no-prune", "--out"],
+    "oracle": ["--preset", "-a", "-m", "--graph", "--budget", "--out"],
     "swaps": ["--family", "-n", "-k", "-r", "-s", "--stage", "--out"],
 }
 

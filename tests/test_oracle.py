@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -19,16 +18,19 @@ from localantimagic.oracle import BudgetError, _kernel_inputs, _plain_valid
 
 
 def test_k3():
-    r = exhaustive_chi_la(book_graph(1, 1), prune=False)
+    r = exhaustive_chi_la(book_graph(1, 1))
     assert r.chi_la == 3
-    assert r.labelings_tried == 6
     assert r.valid_labelings == 6
+    assert r.labelings_tried == r.valid_labelings
 
 
 def test_two_books():
-    r = exhaustive_chi_la(book_graph(2, 1), prune=False)
+    # 672 of the 720 bijections are valid; test_fallback_kernel_agrees
+    # counts them by brute force too
+    r = exhaustive_chi_la(book_graph(2, 1))
     assert r.chi_la == 3
-    assert r.labelings_tried == 720
+    assert r.valid_labelings == 672
+    assert r.labelings_tried == r.valid_labelings
 
 
 def test_p2_has_no_labeling():
@@ -96,15 +98,6 @@ def test_permutation_invariance():
         edges={edge(mapping[a], mapping[b]) for a, b in g.edges},
     )
     assert exhaustive_chi_la(swapped).chi_la == exhaustive_chi_la(g).chi_la
-
-
-def test_prune_matches_no_prune():
-    for graph in REFERENCE_GRAPHS:
-        a = exhaustive_chi_la(graph, edge_budget=12, prune=True)
-        b = exhaustive_chi_la(graph, edge_budget=12, prune=False)
-        assert a.chi_la == b.chi_la
-        assert a.valid_labelings == b.valid_labelings
-        assert a.witness == b.witness
 
 
 def test_budget_refusal():
@@ -218,10 +211,7 @@ def test_fallback_kernel_agrees():
         floor = _kernel_inputs(g)[1][-1]
         if chi == floor:
             reached.add(floor)
-        for prune in (True, False):
-            r = exhaustive_chi_la(g, prune=prune)
-            tried = valid if prune else math.factorial(g.q)
-            assert r == (chi, witness, tried, valid)
+        assert exhaustive_chi_la(g) == (chi, witness, valid, valid)
     assert reached == {2, 3}
 
 
@@ -259,7 +249,6 @@ def test_twin_swaps_are_disjoint_automorphisms():
                 first = min(moves)
                 want_low[at[image[order[first]]]] = first
         assert low == want_low
-        assert _kernel_inputs(g, prune=False)[2] == []
         kept[id(g)] = (len(twins), len(_twin_pairs(g)))
     k23, pendants, paw = TWINS
     c4 = _ring(4, closed=True)
