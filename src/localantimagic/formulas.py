@@ -99,12 +99,11 @@ def expected_branch_signs(cert: DistinctnessCertificate) -> Tuple[int, int]:
     If 3n <= 4s, that is at least 2K - K/2 + 2s - n > 0; otherwise
     4s+1-3n <= 0 and it is at most -K/2 + 2s - n < 0, since K/2 >= 3(2s+1).
     """
-    n = cert.params.n
-    _, s = cert.params.factorization
     if cert.params.family is Family.M2:
         sign_u = 1 if cert.branch_center_u == "2s >= n" else -1
         sign_v = -1 if cert.branch_center_v == "2s - n <= -2" else 1
     else:
-        sign_u = 1 if 3 * n <= 4 * s else -1
+        _, s = cert.params.factorization
+        sign_u = 1 if 3 * cert.params.n <= 4 * s else -1
         sign_v = 1 if cert.branch_center_v == "4s >= n" else -1
     return sign_u, sign_v
