@@ -13,11 +13,11 @@ never scan `used`.  The sums of a valid labeling properly color the
 graph, so no leaf can beat a best count equal to chi(G)'s floor: from
 then on leaves are counted but not colored.
 
-The bound keeps one labeling per orbit of the oracle's twin swaps: the
-label at pos must exceed the label at low[pos], so the scan at pos starts
-at assign[low[pos]] + 1, and the inline last two check the same.  A free
-position's low is the slot assign[q], which stays 0, so the main loop
-has no branch for it.
+The bound keeps one labeling per orbit of the oracle's automorphism
+group: the label at pos must exceed the label at low[pos], so the scan at
+pos starts at assign[low[pos]] + 1, and the inline last two check the
+same.  A free position's low is the slot assign[q], which stays 0, so the
+main loop has no branch for it.
 """
 from __future__ import annotations
 

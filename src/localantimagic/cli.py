@@ -127,8 +127,10 @@ def oracle(args: argparse.Namespace) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
     if args.graph:
         g = io.graph_from_json(_read(args.graph))
+    elif args.preset == "book":
+        g = PRESETS["book"](1 if args.a is None else args.a, 1 if args.m is None else args.m)
     else:
-        g = PRESETS[args.preset](args.a, args.m)
+        g = PRESETS[args.preset]()
     result = exhaustive_chi_la(g, edge_budget=args.budget)
     payload = {
         "format_version": io.FORMAT_VERSION,
@@ -195,12 +197,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     )
     sub.add_argument("--out")
 
-    sub = command(oracle)
+    sub = oracle_parser = command(oracle)
     graph = sub.add_mutually_exclusive_group(required=True)
     graph.add_argument("--preset", choices=sorted(PRESETS))
     graph.add_argument("--graph")
-    sub.add_argument("-a", type=int, default=1, help="number of P_2 copies")
-    sub.add_argument("-m", type=int, default=1, help="number of joined leaves")
+    sub.add_argument("-a", type=int, help="number of P_2 copies, book only [default: 1]")
+    sub.add_argument("-m", type=int, help="number of joined leaves, book only [default: 1]")
     sub.add_argument("--budget", type=int, default=10, help="[default: %(default)s]")
     sub.add_argument("--out")
 
@@ -209,6 +211,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     sub.add_argument("--out")
 
     args = parser.parse_args(_join_ranges(sys.argv[1:] if argv is None else argv))
+    if args.run is oracle and args.preset != "book" and (args.a, args.m) != (None, None):
+        oracle_parser.error("-a and -m apply only to --preset book")
     # The one error boundary: bad input exits 2, a rejected swap exits 1,
     # each with an `error:` line; anything else is a bug and raises.
     try:

@@ -169,7 +169,7 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
     for e in (*move.pair_a, *move.pair_b):
         p = _edge_at(g, e)
         if p is None:
-            raise SwapError(f"edge {e} not in graph")
+            raise SwapError(f"edge ({e[0]}, {e[1]}) not in graph")
         pos.append(p)
     if move.pair_a[0] == move.pair_a[1] or move.pair_b[0] == move.pair_b[1]:
         raise SwapError("each pair needs two distinct edges")
@@ -177,10 +177,10 @@ def _validate_swap(g: LabeledGraph, move: SwapMove) -> List[int]:
         raise SwapError("pairs share an edge")
     for e in move.pair_a:
         if move.center_a not in e:
-            raise SwapError(f"edge {e} not incident to {move.center_a}")
+            raise SwapError(f"edge ({e[0]}, {e[1]}) not incident to {move.center_a}")
     for e in move.pair_b:
         if move.center_b not in e:
-            raise SwapError(f"edge {e} not incident to {move.center_b}")
+            raise SwapError(f"edge ({e[0]}, {e[1]}) not incident to {move.center_b}")
     labs = [g._label[p] for p in pos]
     if None in labs:
         raise SwapError("swap edges must be labeled")

@@ -319,6 +319,20 @@ def test_bad_swap_in_sequence_names_index(g433):
         )
 
 
+@pytest.mark.parametrize("stale", ["twice", "centers-exchanged"])
+def test_bad_swap_names_edges_by_canonical_ids(g433, stale):
+    # the second copy of a move finds its edges gone; with the centers
+    # exchanged the edges exist but meet the wrong center
+    move = paper_move(g433, (13, 78), (81, 10))
+    bad = move._replace(center_a=move.center_b, center_b=move.center_a)
+    moves, reason = ([move, move], "not in graph") if stale == "twice" else ([bad], "not incident")
+    with pytest.raises(SwapError) as info:
+        build_family(FamilyParams(Family.M2, 2, 4, (1, 1)), "merged", swaps=moves)
+    a, b = move.pair_a[0]
+    assert f"edge ({a}, {b}) {reason}" in str(info.value)
+    assert "VertexId(" not in str(info.value)
+
+
 # Move counts per greedy step (enumerate, apply the first move, repeat),
 # copied as literals from the benchmark's pinned table.
 PINNED_FIRST_STEPS = {

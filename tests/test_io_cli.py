@@ -607,9 +607,12 @@ def _cli_process(*args):
         ["matrix", "--fam", "m2", "-n", "1", "-k", "1"],
         ["oracle", "--preset", "book", "-a", "3", "-m", "1", "--graph", "{graph}"],
         ["oracle", "-a", "3", "-m", "1"],
+        ["oracle", "--graph", "{graph}", "-a", "3", "-m", "2"],
+        ["oracle", "--preset", "p2", "-a", "3", "-m", "2"],
     ],
     ids=["no-command", "unknown-command", "bad-choice", "abbreviated-option",
-         "oracle-preset-and-graph", "oracle-no-graph"],
+         "oracle-preset-and-graph", "oracle-no-graph", "oracle-graph-with-sizes",
+         "oracle-p2-with-sizes"],
 )
 def test_cli_process_usage_error_exits_2(args, tmp_path):
     # a valid graph file, so that only the usage can be at fault

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,7 +15,13 @@ from localantimagic import (
     path_p2,
     verify_local_antimagic,
 )
-from localantimagic.oracle import BudgetError, _kernel_inputs, _plain_valid
+from localantimagic.oracle import (
+    BudgetError,
+    _kernel_inputs,
+    _orbit_bounds,
+    _plain_valid,
+    _symmetry,
+)
 
 
 def test_k3():
@@ -215,48 +222,124 @@ def test_fallback_kernel_agrees():
     assert reached == {2, 3}
 
 
-def _twin_pairs(g):
-    """Vertex positions x < y with N(x) - {y} == N(y) - {x} != {}, in order."""
-    vs = g._vertices
-    nbrs = {v: set() for v in vs}
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return [(x, y) for x, y in itertools.combinations(range(len(vs)), 2)
-            if nbrs[vs[x]] - {vs[y]} == nbrs[vs[y]] - {vs[x]} != set()]
+def _bounded_count(low, q):
+    """The permutations of 1..q whose label at each position p exceeds the
+    label at low[p] (no bound when low[p] == q)."""
+    return sum(all(lab[p] > lab[low[p]] for p in range(q) if low[p] < q)
+               for lab in itertools.permutations(range(1, q + 1)))
 
 
-def test_twin_swaps_are_disjoint_automorphisms():
-    # each kept pair's vertex swap maps the edge set onto itself, kept
-    # pairs move disjoint edges, a candidate is refused only when it moves
-    # an edge that an earlier kept pair moves, and low marks the image of
-    # each kept swap's first moved position with that position
-    kept = {}
+def test_bounds_keep_one_labeling_per_orbit():
+    # every bound points back, and the bounded permutations times the group
+    # order is q!: one bijection per orbit, and no orbit is smaller
     for g in REFERENCE_GRAPHS:
-        order, inputs, twins = _kernel_inputs(g)
+        _, inputs, order = _kernel_inputs(g)
         low, q = inputs[3], inputs[4]
-        at = {e: pos for pos, e in enumerate(order)}
-        want_low, moved = [q] * q, set()
-        for x, y in _twin_pairs(g):
-            swap = {g._vertices[x]: g._vertices[y], g._vertices[y]: g._vertices[x]}
-            image = {e: edge(swap.get(e[0], e[0]), swap.get(e[1], e[1])) for e in order}
-            assert set(image.values()) == set(order)
-            moves = {at[e] for e in order if image[e] != e}
-            assert moves
-            assert ((x, y) in twins) == moved.isdisjoint(moves)
-            if (x, y) in twins:
-                moved |= moves
-                first = min(moves)
-                want_low[at[image[order[first]]]] = first
-        assert low == want_low
-        kept[id(g)] = (len(twins), len(_twin_pairs(g)))
-    k23, pendants, paw = TWINS
-    c4 = _ring(4, closed=True)
-    assert kept[id(k23)] == (1, 4)
-    assert kept[id(pendants)] == (2, 2)
-    assert kept[id(paw)] == (1, 1)
-    assert _kernel_inputs(c4)[2] == [(0, 1)] and len(_twin_pairs(c4)) == 2
-    assert sum(k for k, _ in kept.values()) >= 20
+        assert all(low[p] == q or low[p] < p for p in range(q))
+        assert _bounded_count(low, q) * order == math.factorial(q)
+    assert sum(_kernel_inputs(g)[2] > 1 for g in REFERENCE_GRAPHS) >= 20
+
+
+def _edge_automorphisms(g):
+    """The distinct edge permutations that g's vertex automorphisms induce,
+    by trying every vertex permutation that keeps degrees."""
+    vs = sorted(g.part)
+    deg = {v: sum(v in e for e in g.edges) for v in vs}
+    classes = [[v for v in vs if deg[v] == d] for d in sorted(set(deg.values()))]
+    edges = sorted(g.edges)
+    found = set()
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        to = {v: w for c, image in zip(classes, images) for v, w in zip(c, image)}
+        moved = [edge(to[a], to[b]) for a, b in edges]
+        if set(moved) == g.edges:
+            found.add(tuple(moved))
+    return len(found)
+
+
+# Q_3 (48 automorphisms, no twins) and two disjoint triangles (each a
+# class of true twins, with no edge to another class)
+SYMMETRIC = [
+    _graph([((1 + bin(a).count("1") % 2, a + 1), (1 + bin(b).count("1") % 2, b + 1))
+            for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]),
+    _graph([((1, i), (2, i)) for i in (1, 2)] + [((1, i), (3, i)) for i in (1, 2)]
+           + [((2, i), (3, i)) for i in (1, 2)]),
+]
+
+
+def test_group_is_every_edge_automorphism_but_lone_edge_moves():
+    # the group is all of Aut(G) acting on the edges, except that lone
+    # edges stay put: moving a lone edge's ends does not move the edge, so
+    # they are left out, and k lone edges lose the k! ways to permute them
+    for g in REFERENCE_GRAPHS + SYMMETRIC:
+        if len(g.part) > 8:
+            continue
+        lone = sum(all(sum(v in f for f in g.edges) == 1 for v in e) for e in g.edges)
+        assert _edge_automorphisms(g) == _kernel_inputs(g)[2] * math.factorial(lone)
+    assert [_kernel_inputs(g)[2] for g in SYMMETRIC] == [48, 72]
+
+
+def test_bounds_hold_in_any_edge_order():
+    # _orbit_bounds moves a kept permutation back onto edge p inside the
+    # blocks; the oracle's own edge order has not needed that on any graph
+    # tried, and shuffled orders of these graphs do
+    k33 = _graph([((1, a), (2, b)) for a in (1, 2, 3) for b in (1, 2, 3)])
+    for g in (_ring(4, closed=True), TWINS[0], k33):
+        _, (eu, ev, *_), _ = _kernel_inputs(g)
+        nbrs = [set(adj) for adj in g.index.adj]
+        rng = random.Random(0)
+        for _ in range(12):
+            ends = list(zip(eu, ev))
+            rng.shuffle(ends)
+            low, order = _orbit_bounds([a for a, _ in ends], [b for _, b in ends], nbrs)
+            assert order == _edge_automorphisms(g)
+            if g.q <= 6:
+                assert _bounded_count(low, g.q) * order == math.factorial(g.q)
+
+
+def test_twin_classes_are_taken_whole():
+    # the lifts are the quotient's automorphisms alone: book(3, 1) has
+    # three classes {u_i, v_i} to permute, K_{1,12} one class of leaves
+    for g, lifts in ((book_graph(3, 1), 6), (STAR, 1)):
+        assert len(_symmetry([set(adj) for adj in g.index.adj])[1]) == lifts
+
+
+def _disjoint(copies, pairs):
+    """copies disjoint copies of the graph on pairs, as _graph takes them."""
+    return _graph([((p, i + c * 20), (r, j + c * 20)) for c in range(copies)
+                   for (p, i), (r, j) in pairs])
+
+
+STAR = _graph([((1, 1), (2, j)) for j in range(1, 13)])  # K_{1,12}
+MATCHING = _disjoint(12, [((1, 1), (2, 1))])  # twelve disjoint edges
+PATHS = _disjoint(6, [((1, 1), (2, 1)), ((1, 1), (2, 2))])  # six disjoint P_3
+
+
+def test_group_orders_are_pinned():
+    books = {(1, 1): 6, (1, 2): 4, (1, 3): 12, (2, 1): 8, (3, 1): 48,
+             (1, 4): 48, (2, 2): 16, (1, 5): 240, (4, 1): 384}
+    assert {am: _kernel_inputs(book_graph(*am))[2] for am in books} == books
+    assert _kernel_inputs(STAR)[2] == math.factorial(12)
+    assert _kernel_inputs(MATCHING)[2] == 1
+    assert _kernel_inputs(PATHS)[2] == 46_080  # 6! * 2^6
+
+
+def test_twelve_edge_graphs_with_large_groups():
+    # every bijection is valid on K_{1,12} (each leaf's sum is its label,
+    # the center's is 78) and on six disjoint P_3 (a center's sum exceeds
+    # both its leaves'); six P_3 need 13 colors, reached when every center
+    # sums to 13, as the twelve labels cannot pair into sums of at most 12
+    star = exhaustive_chi_la(STAR, edge_budget=12)
+    assert (star.chi_la, star.valid_labelings) == (13, math.factorial(12))
+    assert exhaustive_chi_la(MATCHING, edge_budget=12).valid_labelings == 0
+    paths = exhaustive_chi_la(PATHS, edge_budget=12)
+    assert (paths.chi_la, paths.valid_labelings) == (13, math.factorial(12))
+
+
+@pytest.mark.parametrize("am, valid", [((3, 1), 362_880), ((1, 4), 342_144),
+                                       ((2, 2), 2_206_640)])
+def test_larger_books_have_chi_la_3(am, valid):
+    r = exhaustive_chi_la(book_graph(*am))
+    assert (r.chi_la, r.valid_labelings) == (3, valid)
 
 
 def test_floor_is_two_exactly_on_bipartite_graphs():
