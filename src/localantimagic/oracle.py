@@ -68,10 +68,12 @@ def _symmetry(nbrs: List[set]) -> Tuple[List[int], List[List[int]]]:
     share N(x), true twins share N(x) + {x}, and twins x, y have N(x) - {y}
     not empty.  Every permutation inside the blocks is an automorphism.
     The list holds the automorphisms of the twin quotient that keep each
-    class's size and kind, lifted by mapping class members in sorted order;
-    with the block permutations they make the group.  Isolated vertices and
-    the ends of lone edges stay out of the quotient, since moving them
-    moves no edge."""
+    class's size and its members' degree, lifted by mapping class members
+    in sorted order; with the block permutations they make the group.  The
+    degree also keeps the kind: with the neighbouring classes' sizes kept,
+    it differs between true and false twins.  Isolated vertices and the
+    ends of lone edges stay out of the quotient, since moving them moves no
+    edge."""
     n = len(nbrs)
     by_open: Dict[frozenset, List[int]] = {}  # vertices by N(x)
     by_closed: Dict[frozenset, List[int]] = {}  # and by N(x) + {x}
