@@ -72,8 +72,7 @@ def main(out: Path) -> None:
     for a, m in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2)):
         args = ["oracle", "--preset", "book", "-a", a, "-m", m]
         run([*args, "--out", out / f"oracle-book-a{a}-m{m}.json"])
-    # p2 takes no -a or -m; the file keeps the name its digest is pinned under
-    run(["oracle", "--preset", "p2", "--out", out / "oracle-p2-a1-m1.json"])
+    run(["oracle", "--preset", "p2", "--out", out / "oracle-p2.json"])
     for name, args in (
         ("crossed", ["-n", "1..3", "-k", "1..4"]),
         ("merged", ["-n", "1..3", "--rs", "1..2"]),

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure or rejected swap, 2 bad
 input (parameters, files, paths), always with an `error:` line on stderr.
 A malformed command line gets argparse's usage message and also exits 2.
+
+Each command imports the modules it runs (`io`, `families`, `sweep`), so
+importing this module loads only what the parser needs.
 """
 from __future__ import annotations
 
@@ -10,12 +13,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import io
-from .families import SwapError, build_family, iter_connecting_swaps
 from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
 from .oracle import PRESETS, BudgetError, exhaustive_chi_la
-from .sweep import grid_cells, report_to_json, run_sweep
 
 FAMILIES = ["m2", "m3"]
 
@@ -25,7 +25,8 @@ def _read(path: str) -> str:
         with open(path) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise io.ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        from .io import ParseError
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -78,6 +79,7 @@ def _join_ranges(argv: List[str]) -> List[str]:
 
 def matrix(args: argparse.Namespace) -> None:
     """Emit the edge-label matrix for a family."""
+    from . import io
     mat = build_matrix(_params(args.family, args.n, args.k))
     text = io.matrix_to_csv(mat) if args.format == "csv" else io.matrix_to_json(mat)
     _write(text, args.out)
@@ -85,6 +87,8 @@ def matrix(args: argparse.Namespace) -> None:
 
 def build(args: argparse.Namespace) -> None:
     """Build a family graph, optionally applying a swap-move file."""
+    from . import io
+    from .families import build_family
     params = _params(args.family, args.n, args.k, args.r, args.s, args.stage)
     moves = io.swaps_from_json(_read(args.swaps)) if args.swaps else None
     g = build_family(params, stage=args.stage, swaps=moves)
@@ -100,6 +104,7 @@ def build(args: argparse.Namespace) -> None:
 
 def verify(args: argparse.Namespace) -> None:
     """Verify a JSON graph file; exit 0 iff it is local antimagic."""
+    from . import io
     g = io.graph_from_json(_read(args.graph_file))
     report = verify_local_antimagic(g)
     _write(io.certificate_to_json(g, report), args.out)
@@ -108,6 +113,7 @@ def verify(args: argparse.Namespace) -> None:
 
 def sweep(args: argparse.Namespace) -> None:
     """Verify every family instance over a parameter grid."""
+    from .sweep import grid_cells, report_to_json, run_sweep
     cells = grid_cells(
         [Family(f) for f in args.family or FAMILIES],
         _parse_range(args.n),
@@ -125,6 +131,7 @@ def sweep(args: argparse.Namespace) -> None:
 
 def oracle(args: argparse.Namespace) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
+    from . import io
     if args.graph:
         g = io.graph_from_json(_read(args.graph))
     elif args.preset == "book":
@@ -150,6 +157,8 @@ def oracle(args: argparse.Namespace) -> None:
 
 def swaps(args: argparse.Namespace) -> None:
     """List component-reducing swap moves for a family graph."""
+    from . import io
+    from .families import build_family, iter_connecting_swaps
     params = _params(args.family, args.n, args.k, args.r, args.s, args.stage)
     g = build_family(params, stage=args.stage)
     _write(io.swaps_to_json(list(iter_connecting_swaps(g)), g), args.out)
@@ -214,15 +223,21 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.run is oracle and args.preset != "book" and (args.a, args.m) != (None, None):
         oracle_parser.error("-a and -m apply only to --preset book")
     # The one error boundary: bad input exits 2, a rejected swap exits 1,
-    # each with an `error:` line; anything else is a bug and raises.
+    # each with an `error:` line; anything else is a bug and raises.  A
+    # command that raised ParseError or SwapError has loaded its module.
     try:
         args.run(args)
-    except (ParamError, io.ParseError, BudgetError, GraphError, OSError) as exc:
+    except Exception as exc:
+        from .families import SwapError
+        from .io import ParseError
+        if isinstance(exc, (ParamError, ParseError, BudgetError, GraphError, OSError)):
+            code = 2
+        elif isinstance(exc, SwapError):
+            code = 1
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except SwapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+        sys.exit(code)
 
 
 if __name__ == "__main__":

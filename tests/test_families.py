@@ -13,13 +13,16 @@ from localantimagic import (
     apply_swap,
     build_base_graph,
     build_family,
+    LabeledGraph,
     build_matrix,
+    edge,
     graph_stats,
     induced_colors,
     iter_connecting_swaps,
     verify_local_antimagic,
 )
 from localantimagic.families import ConstructionError
+from localantimagic.sweep import grid_cells
 
 
 def test_base_graph_m2():
@@ -92,6 +95,60 @@ def test_build_family_equals_the_staged_chain(params, stage):
     assert build_family(params, "crossed") == g
     if stage == "merged":
         assert build_family(params, "merged") == apply_merge(g, params)
+
+
+def reference_stage(params, stage):
+    """The stage as the docstrings of build_base_graph, apply_crossing and
+    apply_merge describe it, built edge by edge in dicts.  It never calls
+    _layout, _graph or build_family, so it checks their layout.
+
+    Copy i is u_i v_i with both ends joined to leaves x_{i,1..m}; its edges
+    carry column i of the matrix.  Crossing moves v_i's leaf edge j to
+    leaf j of copy 2k+2-i, then renames the leaves of copy i: y_i for
+    i <= k, z_{2k+2-i} for i >= k+2, x_{k+1} for copy k+1.  Merging
+    identifies the y (and z) leaves of copies in runs of 2s+1 starting at
+    lo into MY(lo) (MZ(lo)); the last run straddles copy k+1 and merges
+    with x_{k+1} into MX(k+1)."""
+    mat = build_matrix(params)
+    k, m = params.k, params.leaves_per_copy
+
+    def leaf(i, j):
+        if stage == "base":
+            return VertexId(Role.X, i, j)
+        role, b = ((Role.Y, i) if i <= k else (Role.X, i) if i == k + 1
+                   else (Role.Z, 2 * k + 2 - i))
+        if stage == "crossed":
+            return VertexId(role, b, j)
+        block = 2 * params.factorization[1] + 1
+        lo = (b - 1) // block * block + 1
+        if role is Role.X or lo > params.factorization[0] * block:
+            return VertexId(Role.MX, k + 1, j)
+        return VertexId(Role.MY if role is Role.Y else Role.MZ, lo, j)
+
+    labels = {}
+    for i in range(1, 2 * k + 2):
+        u, v = VertexId(Role.U, i), VertexId(Role.V, i)
+        labels[edge(u, v)] = mat.uv[i - 1]
+        far = i if stage == "base" else 2 * k + 2 - i
+        for j in range(1, m + 1):
+            labels[edge(u, leaf(i, j))] = mat.ux[j - 1][i - 1]
+            labels[edge(v, leaf(far, j))] = mat.vx[j - 1][i - 1]
+    part = {w: {Role.U: 1, Role.V: 2}.get(w.role, 3) for e in labels for w in e}
+    return LabeledGraph(part=part, edges=set(labels), labels=labels)
+
+
+# CHAIN_CELLS, the default `sweep` grid and criterion 4's merged grid
+REFERENCE_CELLS = list(dict.fromkeys(
+    CHAIN_CELLS
+    + grid_cells([Family.M2, Family.M3], list(range(1, 7)), list(range(1, 9)))
+    + grid_cells([Family.M2, Family.M3], list(range(1, 7)), [], [1, 2, 3])
+))
+
+
+@pytest.mark.parametrize("params,stage", REFERENCE_CELLS)
+def test_build_family_equals_the_dict_built_reference(params, stage):
+    for each in ("base", "crossed", "merged")[:2 + (stage == "merged")]:
+        assert build_family(params, each) == reference_stage(params, each), each
 
 
 @pytest.mark.parametrize("stage", ["base", "crossed", "merged"])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from localantimagic import (
@@ -120,6 +122,39 @@ def test_certificate_signs_match_branches(family, n, r, s):
     assert cert.diff_center_u != 0 and cert.diff_center_v != 0
     assert (cert.diff_center_u > 0) == (sign_u > 0)
     assert (cert.diff_center_v > 0) == (sign_v > 0)
+
+
+def closed_form_differences_times_4(family, n, r, s):
+    """4(c_center - c_u) and 4(c_center - c_v) by ROADMAP's "Closed forms",
+    with K = 4k+2 = 2(2r+1)(2s+1) and d = 2s - n."""
+    K, d = 2 * (2 * r + 1) * (2 * s + 1), 2 * s - n
+    if family is Family.M2:
+        return (K * (2 * n + 1) * (4 * d + 3) + 4 * d + 2,
+                K * ((2 * n + 1) * (4 * d + 5) - 2) + 4 * d + 2)
+    return (4 * K * (n + 1) * (4 * s + 1 - 3 * n) - 2 * K + 4 * d,
+            4 * K * (n + 1) * (4 * s + 1 - n) + 4 * d)
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+def test_closed_form_differences_are_identities(family):
+    """The four closed forms equal color_triple's differences, as exact
+    integer equations (times 4).
+
+    With k = 2rs + r + s both sides are polynomials in (n, r, s) of degree
+    at most 2 in each variable: k, and so K, has degree 1 in r and in s;
+    the center color is (2s+1) times a polynomial of degree 1 in n and k;
+    c_u and c_v have degree 2 in n and 1 in k; each closed form is K times
+    a polynomial of degree 2 in n and 1 in s, plus a linear term in d.
+    A polynomial of degree at most 2 in each of three variables that
+    vanishes on {1,2,3}^3 is zero (three roots per variable, one variable
+    at a time), so that grid proves the identities for every n, r and s.
+    The wider grid adds only evidence."""
+    proof = product(range(1, 4), repeat=3)
+    evidence = product(range(1, 31), range(1, 8), range(1, 8))
+    for n, r, s in (*proof, *evidence):
+        t = color_triple(FamilyParams(family, n, 2 * r * s + r + s, (r, s)))
+        diffs = (4 * (t.c_center - t.c_u), 4 * (t.c_center - t.c_v))
+        assert diffs == closed_form_differences_times_4(family, n, r, s), (n, r, s)
 
 
 def test_certificate_requires_factorization():

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -518,7 +519,9 @@ def test_cli_sweep_merged_two_threads(runner):
 def test_cold_start_loads_no_process_pool():
     """The package, its CLI and an oracle run (what a fresh `antimagic`
     process does before any multi-worker sweep) leave the process pool,
-    multiprocessing, dataclasses and inspect unimported."""
+    multiprocessing, dataclasses and inspect unimported, and load only the
+    package modules the oracle and the parser use: no families, formulas,
+    io (and with it json) or sweep."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -530,20 +533,74 @@ def test_cold_start_loads_no_process_pool():
         "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names)))\n"
         "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.split('.')[0] in ('localantimagic', 'json')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    pool, third_party, slow_imports = proc.stdout.splitlines()
+    pool, third_party, slow_imports, loaded = proc.stdout.splitlines()
     assert pool == "[]"
+    # with no bytecode cache every module loaded is compiled again
+    assert loaded == str([
+        "localantimagic", "localantimagic._kernels", "localantimagic.cli",
+        "localantimagic.graph", "localantimagic.matrices", "localantimagic.oracle",
+    ])
     # dataclasses loads inspect (and with it ast, dis and tokenize): about
     # a fifth of a cold start, for records that NamedTuples give for free
     assert slow_imports == "[]"
     # the package needs nothing outside the standard library (what `site`
     # loaded before the import is the environment's, not the package's)
     assert third_party == "['localantimagic']"
+
+
+def test_package_names_load_from_their_defining_modules():
+    """The package binds its public names lazily (PEP 562): each is its
+    defining module's object, a star import binds all of them, dir() lists
+    them, and any other name is an AttributeError."""
+    import importlib
+
+    import localantimagic
+
+    for name in localantimagic.__all__:
+        obj = getattr(localantimagic, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+        assert obj.__module__ != "localantimagic", name
+    namespace = {}
+    exec("from localantimagic import *", namespace)
+    assert set(localantimagic.__all__) <= namespace.keys()
+    assert set(localantimagic.__all__) <= set(dir(localantimagic))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        localantimagic.no_such_name
+    assert not hasattr(localantimagic, "_layout")
+
+
+def test_readme_connected_member_commands(runner, tmp_path, monkeypatch):
+    """README's "A connected member" block, line by line: each `antimagic`
+    line through `main`, the `python3 -c` line in-process.  The result is
+    one component; `build --swaps` with every listed move fails at the
+    second, because the list offers alternatives for one step."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### A connected member", 1)[1].split("```sh\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    for line in block.split("```", 1)[0].splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[0] == "antimagic":
+            result = runner.invoke(main, argv[1:])
+            assert result.exit_code == 0, (line, result.output)
+        else:
+            assert argv[:2] == ["python3", "-c"]
+            exec(argv[2], {})
+    g = io.graph_from_json((tmp_path / "connected.json").read_text())
+    assert graph_stats(g)[0] == 1
+    assert len(json.loads((tmp_path / "moves.json").read_text())["moves"]) == 382
+    every = ["build", "--family", "m2", "-n", "2", "-k", "4", "-r", "1", "-s", "1",
+             "--stage", "merged", "--swaps", "moves.json"]
+    result = runner.invoke(main, every)
+    assert result.exit_code == 1
+    assert "error: swap #1: edge (v:7:0, my:1:1) not in graph" in result.output
 
 
 def test_cli_sweep_empty_range_exit_2(runner):
