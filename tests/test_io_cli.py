@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -12,6 +13,7 @@ from unittest.mock import patch
 
 import pytest
 
+import localantimagic
 from localantimagic import (
     Family,
     FamilyParams,
@@ -521,7 +523,7 @@ def test_cold_start_loads_no_process_pool():
     process does before any multi-worker sweep) leave the process pool,
     multiprocessing, dataclasses and inspect unimported, and load only the
     package modules the oracle and the parser use: no families, formulas,
-    io (and with it json) or sweep."""
+    io (and with it json) or sweep, and no argparse before `main` runs."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -534,7 +536,7 @@ def test_cold_start_loads_no_process_pool():
         " - set(sys.stdlib_module_names)))\n"
         "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))\n"
         "print(sorted(m for m in set(sys.modules) - before"
-        " if m.split('.')[0] in ('localantimagic', 'json')))\n"
+        " if m.split('.')[0] in ('localantimagic', 'json', 'argparse')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -560,10 +562,6 @@ def test_package_names_load_from_their_defining_modules():
     """The package binds its public names lazily (PEP 562): each is its
     defining module's object, a star import binds all of them, dir() lists
     them, and any other name is an AttributeError."""
-    import importlib
-
-    import localantimagic
-
     for name in localantimagic.__all__:
         obj = getattr(localantimagic, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
