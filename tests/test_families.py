@@ -3,6 +3,7 @@ import pytest
 from localantimagic import (
     Family,
     FamilyParams,
+    LabeledGraph,
     ParamError,
     Role,
     SwapError,
@@ -13,7 +14,6 @@ from localantimagic import (
     apply_swap,
     build_base_graph,
     build_family,
-    LabeledGraph,
     build_matrix,
     edge,
     graph_stats,
