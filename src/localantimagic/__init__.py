@@ -10,42 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColorReport",
-    "ColorTriple",
-    "DistinctnessCertificate",
-    "Family",
-    "FamilyParams",
-    "GraphError",
-    "LabelMatrix",
-    "LabeledGraph",
-    "OracleResult",
-    "ParamError",
-    "Role",
-    "SwapError",
-    "SwapMove",
-    "VertexId",
-    "apply_crossing",
-    "apply_merge",
-    "apply_swap",
-    "book_graph",
-    "build_base_graph",
-    "build_family",
-    "build_matrix",
-    "chromatic_lower_bound",
-    "color_triple",
-    "cross_check",
-    "distinctness_certificate",
-    "edge",
-    "exhaustive_chi_la",
-    "iter_connecting_swaps",
-    "graph_stats",
-    "induced_colors",
-    "matrix_column_sums",
-    "path_p2",
-    "verify_local_antimagic",
-]
-
 # The module that defines each public name.
 _MODULE_OF = {
     name: module
@@ -63,6 +27,8 @@ _MODULE_OF = {
     )
     for name in names.split()
 }
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -4,13 +4,13 @@ Exit codes: 0 success, 1 verification failure or rejected swap, 2 bad
 input (parameters, files, paths), always with an `error:` line on stderr.
 A malformed command line gets argparse's usage message and also exits 2.
 
-`main` imports argparse, and each command the modules it runs (`io`,
-`families`, `sweep`), so importing this module loads only `graph`,
-`matrices` and `oracle`, which the parser's choices and the error
-boundary name.
+Each command imports the modules it runs (`io`, `families`, `sweep`), so
+importing this module loads only `graph`, `matrices` and `oracle`, which
+the parser's choices and the error boundary name.
 """
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import List, Optional
 
@@ -167,8 +167,6 @@ def swaps(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> None:
     """Construct, label, and verify the tripartite graph families."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="antimagic", description=main.__doc__, allow_abbrev=False
     )

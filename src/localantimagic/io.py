@@ -7,11 +7,13 @@ the JSON graph format round-trips exactly.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .families import SwapMove
 from .graph import ColorReport, Edge, GraphError, LabeledGraph, VertexId, edge
 from .matrices import FamilyParams, LabelMatrix, row_names
+
+if TYPE_CHECKING:
+    from .families import SwapMove
 
 FORMAT_VERSION = 1
 
@@ -228,6 +230,10 @@ def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> st
 
 
 def swaps_from_json(text: str) -> List[SwapMove]:
+    # Only a swap list needs `families`; the oracle and verify commands
+    # read and write files without loading it.
+    from .families import SwapMove
+
     data = _load(text)
     try:
         _check_version(data)

@@ -523,7 +523,7 @@ def test_cold_start_loads_no_process_pool():
     process does before any multi-worker sweep) leave the process pool,
     multiprocessing, dataclasses and inspect unimported, and load only the
     package modules the oracle and the parser use: no families, formulas,
-    io (and with it json) or sweep, and no argparse before `main` runs."""
+    io (and with it json) or sweep."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -536,7 +536,7 @@ def test_cold_start_loads_no_process_pool():
         " - set(sys.stdlib_module_names)))\n"
         "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))\n"
         "print(sorted(m for m in set(sys.modules) - before"
-        " if m.split('.')[0] in ('localantimagic', 'json', 'argparse')))\n"
+        " if m.split('.')[0] in ('localantimagic', 'json')))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -556,6 +556,36 @@ def test_cold_start_loads_no_process_pool():
     # the package needs nothing outside the standard library (what `site`
     # loaded before the import is the environment's, not the package's)
     assert third_party == "['localantimagic']"
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--preset", "book"], ["verify", "g.json"]])
+def test_file_commands_load_no_constructions(argv, tmp_path):
+    """`antimagic oracle` and `antimagic verify` read and write files but
+    build no family: a fresh process running either loads `io` and no
+    families, formulas or sweep."""
+    (tmp_path / "g.json").write_text(io.graph_to_json(build_family(
+        FamilyParams(Family.M2, 1, 2, None))))
+    code = (
+        "import sys\n"
+        "from localantimagic.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('localantimagic')),"
+        " file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=tmp_path, env=env, capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str([
+        "localantimagic", "localantimagic._kernels", "localantimagic.cli",
+        "localantimagic.graph", "localantimagic.io", "localantimagic.matrices",
+        "localantimagic.oracle",
+    ])
 
 
 def test_package_names_load_from_their_defining_modules():
