@@ -115,18 +115,23 @@ def verify(args: argparse.Namespace) -> None:
 def sweep(args: argparse.Namespace) -> None:
     """Verify every family instance over a parameter grid."""
     from .sweep import grid_cells, report_to_json, run_sweep
+    if args.rs and args.k is not None:
+        raise ParamError("-k does not apply with --rs; k = 2rs + r + s")
     cells = grid_cells(
         [Family(f) for f in args.family or FAMILIES],
         _parse_range(args.n),
-        _parse_range(args.k),
+        _parse_range("1..8" if args.k is None else args.k),
         _parse_range(args.rs) if args.rs else None,
     )
     report = run_sweep(cells)
     _write(report_to_json(report), args.out)
     if not report.all_pass:
         for cell in report.cells:
+            p = cell.params
+            rs = f" r={p.factorization[0]} s={p.factorization[1]}" if p.factorization else ""
             for failure in cell.failures:
-                print(f"FAIL {cell.params}: {failure}", file=sys.stderr)
+                print(f"FAIL {p.family.value} {cell.stage} n={p.n} k={p.k}{rs}: {failure}",
+                      file=sys.stderr)
         sys.exit(1)
 
 
@@ -199,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     sub = command(sweep)
     sub.add_argument("-n", default="1..6", help="[default: %(default)s]")
-    sub.add_argument("-k", default="1..8", help="[default: %(default)s]")
+    sub.add_argument("-k", help="not with --rs [default: 1..8]")
     sub.add_argument("--rs", help="merged sweep over r,s")
     sub.add_argument(
         "--family", action="append", choices=FAMILIES,

@@ -2,7 +2,7 @@
 graph construction."""
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from .matrices import Family, FamilyParams, ParamError
 
@@ -43,67 +43,65 @@ def color_triple(params: FamilyParams) -> ColorTriple:
 
 
 class DistinctnessCertificate(NamedTuple):
-    """Signs of the center-vs-u and center-vs-v color differences with the
-    case branch each falls under."""
+    """The center-vs-u and center-vs-v color differences, each with the
+    condition of the lemma that proves its sign and that sign: +1 if the
+    condition holds, -1 if not."""
 
     params: FamilyParams
     diff_center_u: int
     diff_center_v: int
-    branch_center_u: str
-    branch_center_v: str
+    condition_center_u: str
+    condition_center_v: str
+    sign_center_u: int
+    sign_center_v: int
 
 
 class FalsificationError(AssertionError):
-    """A color difference came out zero; should be impossible."""
+    """A color difference lacks the sign its lemma proves; should be
+    impossible."""
 
 
 def distinctness_certificate(params: FamilyParams) -> DistinctnessCertificate:
+    """Both color differences of a merged instance, with the lemma that
+    proves each one's sign.
+
+    Let K = 4k+2 = 2(2r+1)(2s+1) >= 18 and d = 2s - n.  Each difference
+    equals a closed form (an exact identity, proved in
+    `tests/test_formulas.py`) and is positive exactly when its condition
+    holds, so none is zero:
+
+    - m2, c_center - c_u = K(2n+1)(d + 3/4) + d + 1/2, positive iff 2s >= n.
+      If d >= 0 it is at least 9K/4 + 1/2, since n >= 1; otherwise
+      d + 3/4 <= -1/4 and it is at most -K(2n+1)/4 - 1/2.
+    - m2, c_center - c_v = K((2n+1)(d + 5/4) - 1/2) + d + 1/2, positive iff
+      2s >= n - 1.  If d >= -1 it is at least K/4 - 1/2; otherwise
+      d + 5/4 <= -3/4 and it is at most -11K/4 - 3/2.
+    - m3, c_center - c_u = K(n+1)(4s+1-3n) - K/2 + d, positive iff 3n <= 4s.
+      If 3n <= 4s, that is at least 2K - K/2 + d > 0, as d > 0 there;
+      otherwise 4s+1-3n <= 0 and it is at most -K/2 + d < 0, since
+      K/2 >= 3(2s+1).
+    - m3, c_center - c_v = K(n+1)(4s+1-n) + d, positive iff 4s >= n.  If it
+      holds the difference is at least K(n+1) + d > 0, as d >= 2 - n;
+      otherwise 4s+1-n <= 0 and it is at most d < 0.
+
+    The m3 center-u condition corrects the paper's case analysis (README,
+    "The families").  Raises FalsificationError if a difference lacks its
+    lemma's sign.
+    """
     if params.factorization is None:
         raise ParamError("certificate requires a factorization (r, s)")
-    n = params.n
-    _, s = params.factorization
-    triple = color_triple(params)
-    d_u = triple.c_center - triple.c_u
-    d_v = triple.c_center - triple.c_v
+    n, s = params.n, params.factorization[1]
     if params.family is Family.M2:
-        branch_u = "2s >= n" if 2 * s >= n else "2s - n <= -1"
-        if 2 * s >= n:
-            branch_v = "2s >= n"
-        elif 2 * s - n == -1:
-            branch_v = "2s - n = -1"
-        else:
-            branch_v = "2s - n <= -2"
+        cond_u, sign_u = "2s >= n", 1 if 2 * s >= n else -1
+        cond_v, sign_v = "2s >= n - 1", 1 if 2 * s >= n - 1 else -1
     else:
-        branch_u = "2s >= n" if 2 * s >= n else "2s - n <= -1"
-        branch_v = "4s >= n" if 4 * s >= n else "4s - n <= -1"
-    if d_u == 0 or d_v == 0:
+        cond_u, sign_u = "3n <= 4s", 1 if 3 * n <= 4 * s else -1
+        cond_v, sign_v = "4s >= n", 1 if 4 * s >= n else -1
+    triple = color_triple(params)
+    d_u, d_v = triple.c_center - triple.c_u, triple.c_center - triple.c_v
+    if d_u * sign_u <= 0 or d_v * sign_v <= 0:
         raise FalsificationError(
-            f"zero color difference at {params}: center-u={d_u}, center-v={d_v}"
+            f"lemma sign violated at {params}: center-u {d_u} ({cond_u}: {sign_u:+d}),"
+            f" center-v {d_v} ({cond_v}: {sign_v:+d})"
         )
-    return DistinctnessCertificate(
-        params=params,
-        diff_center_u=d_u,
-        diff_center_v=d_v,
-        branch_center_u=branch_u,
-        branch_center_v=branch_v,
-    )
-
-
-def expected_branch_signs(cert: DistinctnessCertificate) -> Tuple[int, int]:
-    """Sign each case branch predicts for (center-u, center-v).
-
-    For the second family the published case analysis of the center-vs-u
-    difference tracks a u-color expression that disagrees with the actual
-    column sums, so its sign comes from this lemma instead.  With
-    K = 4k+2 = 2(2r+1)(2s+1), c_center - c_u = K(n+1)(4s+1-3n) - K/2 + 2s - n.
-    If 3n <= 4s, that is at least 2K - K/2 + 2s - n > 0; otherwise
-    4s+1-3n <= 0 and it is at most -K/2 + 2s - n < 0, since K/2 >= 3(2s+1).
-    """
-    if cert.params.family is Family.M2:
-        sign_u = 1 if cert.branch_center_u == "2s >= n" else -1
-        sign_v = -1 if cert.branch_center_v == "2s - n <= -2" else 1
-    else:
-        _, s = cert.params.factorization
-        sign_u = 1 if 3 * cert.params.n <= 4 * s else -1
-        sign_v = 1 if cert.branch_center_v == "4s >= n" else -1
-    return sign_u, sign_v
+    return DistinctnessCertificate(params, d_u, d_v, cond_u, cond_v, sign_u, sign_v)

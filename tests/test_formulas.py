@@ -12,7 +12,8 @@ from localantimagic import (
     distinctness_certificate,
     induced_colors,
 )
-from localantimagic.formulas import expected_branch_signs
+from localantimagic import formulas
+from localantimagic.formulas import FalsificationError
 
 
 def test_triple_m2_crossed():
@@ -69,46 +70,70 @@ def test_formula_graph_agreement_merged(family, n, r, s):
             assert c == t.c_center
 
 
+def paper_branches(family, n, s):
+    """The paper's case branch for (center-u, center-v), each with the sign
+    the paper derives on it.  Test data only: the certificate states the
+    proved lemmas, and the paper's m3 center-u case is wrong."""
+    d = 2 * s - n
+    u = ("2s >= n", 1) if d >= 0 else ("2s - n <= -1", -1)
+    if family is Family.M3:
+        return u, ("4s >= n", 1) if 4 * s >= n else ("4s - n <= -1", -1)
+    if d >= 0:
+        return u, ("2s >= n", 1)
+    return u, ("2s - n = -1", 1) if d == -1 else ("2s - n <= -2", -1)
+
+
+def certificate(family, n, r, s):
+    return distinctness_certificate(FamilyParams(family, n, 2 * r * s + r + s, (r, s)))
+
+
 def test_certificate_m2_small_n():
     cert = distinctness_certificate(FamilyParams(Family.M2, 2, 4, (1, 1)))
     assert cert.diff_center_u == 273 - 205 == 68
-    assert cert.branch_center_u == "2s >= n"
+    assert cert.condition_center_u == paper_branches(Family.M2, 2, 1)[0][0] == "2s >= n"
+    assert cert.sign_center_u == cert.sign_center_v == 1
     assert cert.diff_center_u > 0 and cert.diff_center_v > 0
 
 
 def test_certificate_m2_large_n():
     cert = distinctness_certificate(FamilyParams(Family.M2, 6, 4, (1, 1)))
-    assert cert.branch_center_u == "2s - n <= -1"
-    assert cert.branch_center_v == "2s - n <= -2"
+    assert paper_branches(Family.M2, 6, 1) == (("2s - n <= -1", -1), ("2s - n <= -2", -1))
+    assert (cert.condition_center_u, cert.condition_center_v) == ("2s >= n", "2s >= n - 1")
+    assert cert.sign_center_u == cert.sign_center_v == -1
     assert cert.diff_center_u < 0 and cert.diff_center_v < 0
 
 
 def test_certificate_m2_boundary_branch():
-    # 2s - n = -1 with k >= 4: center-v difference stays positive
+    # 2s - n = -1: the center-v difference stays positive, the center-u
+    # difference is already negative
     cert = distinctness_certificate(FamilyParams(Family.M2, 3, 4, (1, 1)))
-    assert cert.branch_center_v == "2s - n = -1"
+    assert paper_branches(Family.M2, 3, 1) == (("2s - n <= -1", -1), ("2s - n = -1", 1))
+    assert (cert.sign_center_u, cert.sign_center_v) == (-1, 1)
     assert cert.diff_center_v > 0
-    assert cert.branch_center_u == "2s - n <= -1"
     assert cert.diff_center_u < 0
 
 
 def test_certificate_m3_branches():
     cert = distinctness_certificate(FamilyParams(Family.M3, 4, 4, (1, 1)))
-    assert cert.branch_center_u == "2s - n <= -1"
-    assert cert.branch_center_v == "4s >= n"
+    assert paper_branches(Family.M3, 4, 1) == (("2s - n <= -1", -1), ("4s >= n", 1))
+    assert (cert.condition_center_u, cert.condition_center_v) == ("3n <= 4s", "4s >= n")
+    assert (cert.sign_center_u, cert.sign_center_v) == (-1, 1)
     assert cert.diff_center_u < 0 and cert.diff_center_v > 0
 
     cert = distinctness_certificate(FamilyParams(Family.M3, 5, 4, (1, 1)))
-    assert cert.branch_center_v == "4s - n <= -1"
+    assert paper_branches(Family.M3, 5, 1)[1] == ("4s - n <= -1", -1)
+    assert cert.sign_center_v == -1
     assert cert.diff_center_v < 0
 
 
 def test_certificate_m3_center_u_branch_prediction_is_unreliable():
-    # published case analysis tracks the wrong u-color expression: here
-    # 2s >= n yet the true center-vs-u difference is negative; the
-    # certificate still proves distinctness because it is nonzero
+    # the paper's case analysis tracks the wrong u-color expression: here
+    # 2s >= n, where the paper claims a positive center-vs-u difference,
+    # yet it is negative, as the lemma 3n <= 4s says
     cert = distinctness_certificate(FamilyParams(Family.M3, 4, 7, (1, 2)))
-    assert cert.branch_center_u == "2s >= n"
+    assert paper_branches(Family.M3, 4, 2)[0] == ("2s >= n", 1)
+    assert cert.condition_center_u == "3n <= 4s"
+    assert cert.sign_center_u == -1
     assert cert.diff_center_u == -465
 
 
@@ -116,12 +141,72 @@ def test_certificate_m3_center_u_branch_prediction_is_unreliable():
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
 def test_certificate_signs_match_branches(family, n, r, s):
-    k = ((2 * r + 1) * (2 * s + 1) - 1) // 2
-    cert = distinctness_certificate(FamilyParams(family, n, k, (r, s)))
-    sign_u, sign_v = expected_branch_signs(cert)
+    """The paper's branch signs equal the lemmas' signs, except for m3
+    center-u at 4s < 3n <= 6s."""
+    cert = certificate(family, n, r, s)
+    (_, paper_u), (_, paper_v) = paper_branches(family, n, s)
     assert cert.diff_center_u != 0 and cert.diff_center_v != 0
-    assert (cert.diff_center_u > 0) == (sign_u > 0)
-    assert (cert.diff_center_v > 0) == (sign_v > 0)
+    assert (cert.diff_center_u > 0) == (cert.sign_center_u > 0)
+    assert (cert.diff_center_v > 0) == (cert.sign_center_v > 0)
+    assert paper_v == cert.sign_center_v
+    paper_wrong = family is Family.M3 and 4 * s < 3 * n <= 6 * s
+    assert (paper_u != cert.sign_center_u) == paper_wrong
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_certificate_signs_equal_actual_signs_on_grid():
+    """Over n 1..30 and r, s 1..7, each certificate sign is the sign of
+    color_triple's difference, and the paper's branches disagree with the
+    lemmas only at m3 center-u."""
+    disagree = set()
+    for family, n, r, s in product([Family.M2, Family.M3], range(1, 31), range(1, 8), range(1, 8)):
+        cert = certificate(family, n, r, s)
+        t = color_triple(cert.params)
+        assert cert.sign_center_u == _sign(t.c_center - t.c_u), (family, n, r, s)
+        assert cert.sign_center_v == _sign(t.c_center - t.c_v), (family, n, r, s)
+        (_, paper_u), (_, paper_v) = paper_branches(family, n, s)
+        if paper_u != cert.sign_center_u:
+            disagree.add((family, "center-u"))
+        if paper_v != cert.sign_center_v:
+            disagree.add((family, "center-v"))
+    assert disagree == {(Family.M3, "center-u")}
+
+
+# For each family and difference: the lemma's condition and the last n at
+# which it holds, as a function of s.
+LEMMA_EDGES = [
+    (Family.M2, "center_u", "2s >= n", lambda s: 2 * s),
+    (Family.M2, "center_v", "2s >= n - 1", lambda s: 2 * s + 1),
+    (Family.M3, "center_u", "3n <= 4s", lambda s: 4 * s // 3),
+    (Family.M3, "center_v", "4s >= n", lambda s: 4 * s),
+]
+
+
+@pytest.mark.parametrize("family,side,condition,last_n", LEMMA_EDGES,
+                         ids=[f"{f.value}-{side}" for f, side, _, _ in LEMMA_EDGES])
+def test_certificate_sign_flips_at_the_lemma_edge(family, side, condition, last_n):
+    for r, s in product(range(1, 6), range(1, 11)):
+        for n, want in ((last_n(s), 1), (last_n(s) + 1, -1)):
+            cert = certificate(family, n, r, s)
+            t = color_triple(cert.params)
+            actual = t.c_center - (t.c_u if side == "center_u" else t.c_v)
+            assert getattr(cert, f"condition_{side}") == condition
+            assert getattr(cert, f"sign_{side}") == _sign(actual) == want, (n, r, s)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [lambda t: t._replace(c_u=t.c_center), lambda t: t._replace(c_v=t.c_center + 1)],
+    ids=["zero-difference", "wrong-sign"],
+)
+def test_certificate_raises_when_a_difference_lacks_its_lemma_sign(monkeypatch, forge):
+    # m2 n=2, r=s=1: both lemmas hold, so both differences must be positive
+    monkeypatch.setattr(formulas, "color_triple", lambda p: forge(color_triple(p)))
+    with pytest.raises(FalsificationError, match="lemma sign violated"):
+        distinctness_certificate(FamilyParams(Family.M2, 2, 4, (1, 1)))
 
 
 def closed_form_differences_times_4(family, n, r, s):

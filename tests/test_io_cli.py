@@ -486,6 +486,28 @@ def test_cli_sweep_merged_grid(runner):
     assert all(cell["components"] == cell["r"] + 1 for cell in data["grid"])
 
 
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (["-n", "2", "-k", "3", "--family", "m2"], "FAIL m2 crossed n=2 k=3: forged"),
+        (["-n", "2", "--rs", "1", "--family", "m3"], "FAIL m3 merged n=2 k=4 r=1 s=1: forged"),
+    ],
+    ids=["crossed", "merged"],
+)
+def test_cli_sweep_failure_names_family_stage_and_parameters(runner, tmp_path, monkeypatch,
+                                                             args, line):
+    from localantimagic import sweep
+
+    def failing_cell(params, stage):
+        return sweep.CellResult(params, stage, False, (0, 0, 0), 1, None, 0, ["forged"])
+
+    monkeypatch.setattr(sweep, "check_cell", failing_cell)
+    result = runner.invoke(main, ["sweep", *args, "--out", str(tmp_path / "r.json")],
+                           env={"ANTIMAGIC_THREADS": "1"})
+    assert result.exit_code == 1
+    assert result.output == line + "\n"
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
 def test_cli_sweep_bad_thread_count_exit_2(runner, threads):
     result = runner.invoke(
@@ -654,10 +676,11 @@ def test_cli_exit_code_contract(runner):
         ["verify", "{dir}/latin1.json"],
         ["build", "--family", "m2", "-n", "1", "-k", "1", "-r", "0", "-s", "1",
          "--stage", "merged"],
+        ["sweep", "-n", "1", "-k", "7", "--rs", "1", "--family", "m2"],
     ],
     ids=["sweep-n-0", "sweep-rs-0", "sweep-n-negative", "sweep-rs-negative",
          "swaps-file-is-dir", "graph-file-is-dir",
-         "out-dir-missing", "graph-file-not-utf8", "build-r-0"],
+         "out-dir-missing", "graph-file-not-utf8", "build-r-0", "sweep-k-with-rs"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
@@ -667,7 +690,10 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     if args[1:3] == ["-n", "-1..2"]:
         assert "error: n must be >= 1, got -1" in result.output
-    if "--rs" in args or "-r" in args:
+    if "-k" in args and "--rs" in args:
+        # k is derived from r and s, so a given k would be ignored
+        assert result.output == "error: -k does not apply with --rs; k = 2rs + r + s\n"
+    elif "--rs" in args or "-r" in args:
         # the bad factorization is named, not the k derived from it
         assert "r, s must be >= 1" in result.output
         assert "k must" not in result.output
