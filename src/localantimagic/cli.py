@@ -115,13 +115,13 @@ def verify(args: argparse.Namespace) -> None:
 def sweep(args: argparse.Namespace) -> None:
     """Verify every family instance over a parameter grid."""
     from .sweep import grid_cells, report_to_json, run_sweep
-    if args.rs and args.k is not None:
+    if args.rs is not None and args.k is not None:
         raise ParamError("-k does not apply with --rs; k = 2rs + r + s")
     cells = grid_cells(
         [Family(f) for f in args.family or FAMILIES],
         _parse_range(args.n),
         _parse_range("1..8" if args.k is None else args.k),
-        _parse_range(args.rs) if args.rs else None,
+        None if args.rs is None else _parse_range(args.rs),
     )
     report = run_sweep(cells)
     _write(report_to_json(report), args.out)

@@ -677,10 +677,12 @@ def test_cli_exit_code_contract(runner):
         ["build", "--family", "m2", "-n", "1", "-k", "1", "-r", "0", "-s", "1",
          "--stage", "merged"],
         ["sweep", "-n", "1", "-k", "7", "--rs", "1", "--family", "m2"],
+        ["sweep", "-n", "1", "--rs", "", "--family", "m2"],
     ],
     ids=["sweep-n-0", "sweep-rs-0", "sweep-n-negative", "sweep-rs-negative",
          "swaps-file-is-dir", "graph-file-is-dir",
-         "out-dir-missing", "graph-file-not-utf8", "build-r-0", "sweep-k-with-rs"],
+         "out-dir-missing", "graph-file-not-utf8", "build-r-0", "sweep-k-with-rs",
+         "sweep-rs-empty"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
@@ -693,6 +695,8 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     if "-k" in args and "--rs" in args:
         # k is derived from r and s, so a given k would be ignored
         assert result.output == "error: -k does not apply with --rs; k = 2rs + r + s\n"
+    elif "" in args:
+        assert result.output == "error: bad range ''\n"
     elif "--rs" in args or "-r" in args:
         # the bad factorization is named, not the k derived from it
         assert "r, s must be >= 1" in result.output
