@@ -15,19 +15,10 @@ import sys
 from typing import List, Optional
 
 from .graph import GraphError, verify_local_antimagic
-from .matrices import Family, FamilyParams, ParamError, build_matrix
+from .matrices import FamilyParams, ParamError, build_matrix
 from .oracle import PRESETS, BudgetError, exhaustive_chi_la
 
 FAMILIES = ["m2", "m3"]
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        from .io import ParseError
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -45,7 +36,7 @@ def _params(
 ) -> FamilyParams:
     if (r is None) != (s is None):
         raise ParamError("-r and -s must be given together")
-    params = FamilyParams(Family(family), n, k, None if r is None else (r, s))
+    params = FamilyParams(family, n, k, None if r is None else (r, s))
     if stage == "merged" and params.factorization is None:
         raise ParamError("--stage merged requires -r and -s")
     return params
@@ -91,7 +82,7 @@ def build(args: argparse.Namespace) -> None:
     from . import io
     from .families import build_family
     params = _params(args.family, args.n, args.k, args.r, args.s, args.stage)
-    moves = io.swaps_from_json(_read(args.swaps)) if args.swaps else None
+    moves = io.swaps_from_json(io.read_text(args.swaps)) if args.swaps else None
     g = build_family(params, stage=args.stage, swaps=moves)
     if args.format == "json":
         _write(io.graph_to_json(g), args.out)
@@ -106,7 +97,7 @@ def build(args: argparse.Namespace) -> None:
 def verify(args: argparse.Namespace) -> None:
     """Verify a JSON graph file; exit 0 iff it is local antimagic."""
     from . import io
-    g = io.graph_from_json(_read(args.graph_file))
+    g = io.graph_from_json(io.read_text(args.graph_file))
     report = verify_local_antimagic(g)
     _write(io.certificate_to_json(g, report), args.out)
     sys.exit(0 if report.is_local_antimagic else 1)
@@ -114,17 +105,18 @@ def verify(args: argparse.Namespace) -> None:
 
 def sweep(args: argparse.Namespace) -> None:
     """Verify every family instance over a parameter grid."""
-    from .sweep import grid_cells, report_to_json, run_sweep
+    from . import io
+    from .sweep import grid_cells, run_sweep
     if args.rs is not None and args.k is not None:
         raise ParamError("-k does not apply with --rs; k = 2rs + r + s")
     cells = grid_cells(
-        [Family(f) for f in args.family or FAMILIES],
+        list(dict.fromkeys(args.family or FAMILIES)),  # a repeated family runs once
         _parse_range(args.n),
         _parse_range("1..8" if args.k is None else args.k),
         None if args.rs is None else _parse_range(args.rs),
     )
     report = run_sweep(cells)
-    _write(report_to_json(report), args.out)
+    _write(io.sweep_report_to_json(report), args.out)
     if not report.all_pass:
         for cell in report.cells:
             p = cell.params
@@ -139,24 +131,13 @@ def oracle(args: argparse.Namespace) -> None:
     """Exhaustively compute chi_la of a tiny graph."""
     from . import io
     if args.graph:
-        g = io.graph_from_json(_read(args.graph))
+        g = io.graph_from_json(io.read_text(args.graph))
     elif args.preset == "book":
         g = PRESETS["book"](1 if args.a is None else args.a, 1 if args.m is None else args.m)
     else:
         g = PRESETS[args.preset]()
     result = exhaustive_chi_la(g, edge_budget=args.budget)
-    payload = {
-        "format_version": io.FORMAT_VERSION,
-        "chi_la": result.chi_la,
-        "witness": (
-            {f"{e[0]} {e[1]}": lab for e, lab in sorted(result.witness.items())}
-            if result.witness is not None
-            else None
-        ),
-        "labelings_tried": result.labelings_tried,
-        "valid_labelings": result.valid_labelings,
-    }
-    _write(io._dumps(payload), args.out)
+    _write(io.oracle_to_json(result), args.out)
     if result.chi_la is None:
         print("no local antimagic labeling", file=sys.stderr)
 

@@ -1,8 +1,10 @@
-"""File formats: JSON graphs/certificates/reports, CSV matrices, DOT and
-graph6 exports, swap-move lists.
+"""File formats: JSON graphs, matrices, certificates, swap-move lists,
+sweep reports and oracle answers, CSV matrices, DOT and graph6 exports,
+and the reading of input files.
 
-All emitters iterate in sorted structural order so output is byte-stable;
-the JSON graph format round-trips exactly.
+This is the one module that knows the JSON layout and its
+`format_version`.  All emitters iterate in sorted structural order so
+output is byte-stable; the JSON graph format round-trips exactly.
 """
 from __future__ import annotations
 
@@ -10,10 +12,12 @@ import json
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .graph import ColorReport, Edge, GraphError, LabeledGraph, VertexId, edge
-from .matrices import FamilyParams, LabelMatrix, row_names
+from .matrices import LabelMatrix, row_names
 
 if TYPE_CHECKING:
     from .families import SwapMove
+    from .oracle import OracleResult
+    from .sweep import SweepReport
 
 FORMAT_VERSION = 1
 
@@ -22,8 +26,18 @@ class ParseError(ValueError):
     pass
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _document(body: Dict[str, object]) -> str:
+    """A JSON document: format_version, then body's keys, indented by 2."""
+    return json.dumps({"format_version": FORMAT_VERSION, **body}, indent=2) + "\n"
+
+
+def read_text(path: str) -> str:
+    """The text of the file at path; a file that is not UTF-8 is a ParseError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 # ---------------------------------------------------------------- graphs
@@ -170,24 +184,15 @@ def matrix_to_json(mat: LabelMatrix) -> str:
         {"role": role, "leaf": leaf, "values": values}
         for (role, leaf), values in zip(row_names(p), mat.rows)
     ]
-    return _dumps(
-        {
-            "format_version": FORMAT_VERSION,
-            "family": p.family.value,
-            "n": p.n,
-            "k": p.k,
-            "rows": rows,
-        }
-    )
+    return _document({"family": p.family.value, "n": p.n, "k": p.k, "rows": rows})
 
 
 # ---------------------------------------------------------- certificates
 
 def certificate_to_json(g: LabeledGraph, report: ColorReport) -> str:
     lower, upper = report.chi_la_bracket
-    return _dumps(
+    return _document(
         {
-            "format_version": FORMAT_VERSION,
             "q": g.q,
             "bijection_ok": report.bijection_ok,
             "bad_labels": report.bad_labels,
@@ -226,7 +231,7 @@ def swaps_to_json(moves: List[SwapMove], g: Optional[LabeledGraph] = None) -> st
             item["labels_a"] = list(la)
             item["labels_b"] = list(lb)
         out.append(item)
-    return _dumps({"format_version": FORMAT_VERSION, "moves": out})
+    return _document({"moves": out})
 
 
 def swaps_from_json(text: str) -> List[SwapMove]:
@@ -250,8 +255,24 @@ def swaps_from_json(text: str) -> List[SwapMove]:
         raise ParseError(f"bad swap list: {exc}") from exc
 
 
-# --------------------------------------------------------------- params
+# ------------------------------------------------------ sweeps, oracle
 
-def params_to_json(p: FamilyParams) -> Dict[str, object]:
-    r, s = p.factorization if p.factorization else (None, None)
-    return {"family": p.family.value, "n": p.n, "k": p.k, "r": r, "s": s}
+def sweep_report_to_json(report: SweepReport) -> str:
+    cells = []
+    for c in report.cells:
+        p = c.params
+        r, s = p.factorization or (None, None)
+        cells.append({"family": p.family.value, "n": p.n, "k": p.k, "r": r, "s": s,
+                      "stage": c.stage, "verified": c.verified, "colors": list(c.colors),
+                      "components": c.components, "regular": c.regular,
+                      "runtime_ms": c.runtime_ms, "failures": c.failures})
+    return _document({"grid": cells,
+                      "summary": {"pass": report.passed, "fail": report.failed}})
+
+
+def oracle_to_json(result: OracleResult) -> str:
+    witness = None if result.witness is None else {
+        f"{a} {b}": lab for (a, b), lab in sorted(result.witness.items())}
+    return _document({"chi_la": result.chi_la, "witness": witness,
+                      "labelings_tried": result.labelings_tried,
+                      "valid_labelings": result.valid_labelings})

@@ -29,11 +29,19 @@ class _ParamFields(NamedTuple):
 
 
 class FamilyParams(_ParamFields):
-    """Validated on construction, so by `_make`, `_replace` and unpickling too."""
+    """Validated on construction, so by `_make`, `_replace` and unpickling
+    too.  `family` is a `Family` or its value ("m2", "m3")."""
 
     __slots__ = ()
 
-    def __new__(cls, family: Family, n: int, k: int, factorization=None) -> "FamilyParams":
+    def __new__(
+        cls, family: Family | str, n: int, k: int, factorization=None
+    ) -> "FamilyParams":
+        if type(family) is not Family:
+            try:
+                family = Family(family)
+            except ValueError:
+                raise ParamError(f"unknown family {family!r}") from None
         if n < 1:
             raise ParamError(f"n must be >= 1, got {n}")
         # r and s first: a sweep derives k from them, so a bad r or s

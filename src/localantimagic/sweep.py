@@ -17,7 +17,6 @@ from .matrices import (
     build_matrix,
     matrix_column_sums,
 )
-from .io import FORMAT_VERSION, _dumps, params_to_json
 
 
 class CellResult(NamedTuple):
@@ -145,7 +144,7 @@ def run_sweep(cells: List[Tuple[FamilyParams, str]]) -> SweepReport:
 
 
 def grid_cells(
-    families: List[Family],
+    families: List[Family | str],
     n_range: List[int],
     k_range: List[int],
     rs_range: Optional[List[int]] = None,
@@ -157,17 +156,3 @@ def grid_cells(
                 for fam in families for n in n_range for k in k_range]
     return [(FamilyParams(fam, n, 2 * r * s + r + s, (r, s)), "merged")
             for fam in families for n in n_range for r in rs_range for s in rs_range]
-
-
-def report_to_json(report: SweepReport) -> str:
-    cells = [
-        {**params_to_json(c.params), "stage": c.stage, "verified": c.verified,
-         "colors": list(c.colors), "components": c.components,
-         "regular": c.regular, "runtime_ms": c.runtime_ms, "failures": c.failures}
-        for c in report.cells
-    ]
-    return _dumps({
-        "format_version": FORMAT_VERSION,
-        "grid": cells,
-        "summary": {"pass": report.passed, "fail": report.failed},
-    })

@@ -508,6 +508,21 @@ def test_cli_sweep_failure_names_family_stage_and_parameters(runner, tmp_path, m
     assert result.output == line + "\n"
 
 
+@pytest.mark.parametrize(
+    "families,want",
+    [(["m2", "m2"], ["m2"]), (["m3", "m2", "m3"], ["m3", "m2"])],
+    ids=["twice", "first-given-order"],
+)
+def test_cli_sweep_repeated_family_runs_once(runner, families, want):
+    args = ["sweep", "-n", "1", "-k", "1"]
+    for family in families:
+        args += ["--family", family]
+    result = runner.invoke(main, args, env={"ANTIMAGIC_THREADS": "1"})
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert [cell["family"] for cell in data["grid"]] == want
+    assert data["summary"] == {"pass": len(want), "fail": 0}
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-3", "2.5"])
 def test_cli_sweep_bad_thread_count_exit_2(runner, threads):
     result = runner.invoke(
@@ -609,6 +624,23 @@ def test_file_commands_load_no_constructions(argv, tmp_path):
         "localantimagic.oracle",
     ])
 
+
+def test_sweep_loads_no_file_formats():
+    """`io` writes the sweep report, so `sweep` needs neither `io` nor
+    `json`: a fresh process that imports it, as a pool worker started by
+    spawn does, loads neither."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import localantimagic.sweep\n"
+        "print(sorted((set(sys.modules) - before) & {'localantimagic.io', 'json'}))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 def test_package_names_load_from_their_defining_modules():
     """The package binds its public names lazily (PEP 562): each is its

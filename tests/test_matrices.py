@@ -159,6 +159,23 @@ def test_param_validation_on_every_path():
     assert merged._replace(n=3) == FamilyParams(Family.M3, 3, 4, (1, 1))
 
 
+def test_family_given_by_its_value_is_that_family():
+    """A family's value ("m2") builds that family, not the other one, on
+    every path; an unknown value is an error that names it."""
+    from localantimagic import build_family
+
+    p = FamilyParams("m2", 1, 1)
+    assert p.family is Family.M2
+    assert p == FamilyParams(Family.M2, 1, 1)
+    assert p.q == 15 and build_family(p).q == 15
+    assert p._replace(family="m3").family is Family.M3
+    assert p._replace(family="m3").q == 21
+    for bad in ("m4", "M2", None):
+        with pytest.raises(ParamError, match=f"unknown family {bad!r}"):
+            FamilyParams(bad, 1, 1)
+    with pytest.raises(ParamError, match="unknown family 'm4'"):
+        p._replace(family="m4")
+
 def test_records_print_and_compare_as_their_fields():
     """The records are NamedTuples: the repr names every field, as the
     error messages that embed params expect, and a record equals the
