@@ -15,10 +15,10 @@ import sys
 from typing import List, Optional
 
 from .graph import GraphError, verify_local_antimagic
-from .matrices import FamilyParams, ParamError, build_matrix
+from .matrices import Family, FamilyParams, ParamError, build_matrix
 from .oracle import PRESETS, BudgetError, exhaustive_chi_la
 
-FAMILIES = ["m2", "m3"]
+FAMILIES = [f.value for f in Family]
 
 
 def _write(text: str, out: Optional[str]) -> None:

@@ -30,7 +30,8 @@ class _ParamFields(NamedTuple):
 
 class FamilyParams(_ParamFields):
     """Validated on construction, so by `_make`, `_replace` and unpickling
-    too.  `family` is a `Family` or its value ("m2", "m3")."""
+    too.  `family` is a `Family` or its value ("m2", "m3"); n, k, r and s
+    are ints, not bools or floats."""
 
     __slots__ = ()
 
@@ -42,12 +43,19 @@ class FamilyParams(_ParamFields):
                 family = Family(family)
             except ValueError:
                 raise ParamError(f"unknown family {family!r}") from None
+        sizes = [("n", n), ("k", k)]
+        if factorization is not None:
+            r, s = factorization
+            factorization = (r, s)  # a list would neither hash nor equal the tuple
+            sizes += [("r", r), ("s", s)]
+        for name, value in sizes:
+            if type(value) is not int:  # not isinstance: True is an int too
+                raise ParamError(f"{name} must be an int, got {value!r}")
         if n < 1:
             raise ParamError(f"n must be >= 1, got {n}")
         # r and s first: a sweep derives k from them, so a bad r or s
         # would otherwise be reported as a k the user never gave
         if factorization is not None:
-            r, s = factorization
             if r < 1 or s < 1:
                 raise ParamError(f"r, s must be >= 1, got ({r}, {s})")
             if (2 * r + 1) * (2 * s + 1) != 2 * k + 1:

@@ -96,8 +96,7 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
     if (
         stage == "merged"
         and params.family is Family.M3
-        and params.factorization is not None
-        and params.n == 2 * params.factorization[1]
+        and params.n == 2 * params.factorization[1]  # type: ignore[index]
         and regular != 2 * params.n + 2
     ):
         failures.append(f"expected {2 * params.n + 2}-regular, got {regular}")
@@ -112,10 +111,6 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
         runtime_ms=int((time.monotonic() - start) * 1000),
         failures=failures,
     )
-
-
-def _worker(args: Tuple[FamilyParams, str]) -> CellResult:
-    return check_cell(*args)
 
 
 def worker_count() -> int:
@@ -140,7 +135,7 @@ def run_sweep(cells: List[Tuple[FamilyParams, str]]) -> SweepReport:
     from concurrent.futures import ProcessPoolExecutor
     chunksize = max(1, len(cells) // (16 * workers))  # ~16 round trips per worker
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return SweepReport(cells=list(pool.map(_worker, cells, chunksize=chunksize)))
+        return SweepReport(cells=list(pool.map(check_cell, *zip(*cells), chunksize=chunksize)))
 
 
 def grid_cells(

@@ -154,6 +154,8 @@ def test_param_validation_on_every_path():
     merged = FamilyParams(Family.M3, 2, 4, (1, 1))
     with pytest.raises(ParamError, match=r"\(2r\+1\)\(2s\+1\) = 9 but 2k\+1 = 11"):
         merged._replace(k=5)
+    with pytest.raises(ParamError, match=r"^k must be an int, got 4\.0$"):
+        merged._replace(k=4.0)
     assert pickle.loads(pickle.dumps(merged)) == merged
     assert type(pickle.loads(pickle.dumps(merged))) is FamilyParams
     assert merged._replace(n=3) == FamilyParams(Family.M3, 3, 4, (1, 1))
@@ -175,6 +177,31 @@ def test_family_given_by_its_value_is_that_family():
             FamilyParams(bad, 1, 1)
     with pytest.raises(ParamError, match="unknown family 'm4'"):
         p._replace(family="m4")
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((Family.M2, 1.5, 1), "n"),
+        ((Family.M2, 2, 1.0), "k"),
+        ((Family.M2, 2, 4, (1.0, 1)), "r"),
+        ((Family.M2, True, 1), "n"),
+    ],
+    ids=["n-float", "k-float", "r-float", "n-bool"],
+)
+def test_param_sizes_must_be_ints(args, field):
+    """A float or bool size is a ParamError naming its field, not a later
+    TypeError in build_matrix or build_family, nor `"n": true` in a report."""
+    with pytest.raises(ParamError, match=f"^{field} must be an int, got "):
+        FamilyParams(*args)
+
+
+def test_list_factorization_is_stored_as_a_tuple():
+    p = FamilyParams(Family.M2, 2, 4, [1, 1])
+    assert p.factorization == (1, 1) and type(p.factorization) is tuple
+    assert p == FamilyParams(Family.M2, 2, 4, (1, 1))
+    assert hash(p) == hash(FamilyParams(Family.M2, 2, 4, (1, 1)))
+
 
 def test_records_print_and_compare_as_their_fields():
     """The records are NamedTuples: the repr names every field, as the
