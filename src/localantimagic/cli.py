@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
-from .oracle import PRESETS, BudgetError, exhaustive_chi_la
+from .oracle import BudgetError, book_graph, exhaustive_chi_la, path_p2
 
 FAMILIES = [f.value for f in Family]
 
@@ -133,9 +133,9 @@ def oracle(args: argparse.Namespace) -> None:
     if args.graph:
         g = io.graph_from_json(io.read_text(args.graph))
     elif args.preset == "book":
-        g = PRESETS["book"](1 if args.a is None else args.a, 1 if args.m is None else args.m)
+        g = book_graph(1 if args.a is None else args.a, 1 if args.m is None else args.m)
     else:
-        g = PRESETS[args.preset]()
+        g = path_p2()
     result = exhaustive_chi_la(g, edge_budget=args.budget)
     _write(io.oracle_to_json(result), args.out)
     if result.chi_la is None:
@@ -195,7 +195,7 @@ def main(argv: Optional[List[str]] = None) -> None:
 
     sub = oracle_parser = command(oracle)
     graph = sub.add_mutually_exclusive_group(required=True)
-    graph.add_argument("--preset", choices=sorted(PRESETS))
+    graph.add_argument("--preset", choices=["book", "p2"])
     graph.add_argument("--graph")
     sub.add_argument("-a", type=int, help="number of P_2 copies, book only [default: 1]")
     sub.add_argument("-m", type=int, help="number of joined leaves, book only [default: 1]")

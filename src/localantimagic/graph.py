@@ -38,13 +38,19 @@ _CANONICAL_ID = re.compile(r"([a-z]+):([1-9][0-9]*):(0|[1-9][0-9]*)")
 
 
 class VertexId(_VertexFields):
-    """(role, copy_index, leaf_index), validated on construction.  A tuple:
-    hashing, equality and ordering run in C and match the plain field
-    tuple's, and it compares equal to that tuple."""
+    """(role, copy_index, leaf_index), validated on construction.  Both
+    indices are ints, not bools or floats, so `str` prints only ids that
+    `parse` reads back.  A tuple: hashing, equality and ordering run in C
+    and match the plain field tuple's, and it compares equal to that
+    tuple."""
 
     __slots__ = ()
 
     def __new__(cls, role: Role, copy_index: int, leaf_index: int = 0) -> "VertexId":
+        if type(copy_index) is not int:
+            raise ValueError(f"copy_index must be an int, got {copy_index!r}")
+        if type(leaf_index) is not int:
+            raise ValueError(f"leaf_index must be an int, got {leaf_index!r}")
         if copy_index < 1:
             raise ValueError(f"copy_index must be >= 1, got {copy_index}")
         if leaf_index < 0:

@@ -30,8 +30,9 @@ class _ParamFields(NamedTuple):
 
 class FamilyParams(_ParamFields):
     """Validated on construction, so by `_make`, `_replace` and unpickling
-    too.  `family` is a `Family` or its value ("m2", "m3"); n, k, r and s
-    are ints, not bools or floats."""
+    too.  `family` is a `Family` or its value ("m2", "m3"); the
+    factorization is None or a pair (r, s); n, k, r and s are ints, not
+    bools or floats."""
 
     __slots__ = ()
 
@@ -45,7 +46,12 @@ class FamilyParams(_ParamFields):
                 raise ParamError(f"unknown family {family!r}") from None
         sizes = [("n", n), ("k", k)]
         if factorization is not None:
-            r, s = factorization
+            try:
+                r, s = factorization
+            except (TypeError, ValueError):
+                raise ParamError(
+                    f"factorization must be a pair (r, s), got {factorization!r}"
+                ) from None
             factorization = (r, s)  # a list would neither hash nor equal the tuple
             sizes += [("r", r), ("s", s)]
         for name, value in sizes:

@@ -2,18 +2,10 @@
 graphs, by enumerating edge-label bijections."""
 from __future__ import annotations
 
-import random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _kernels
-from .graph import (
-    Edge,
-    LabeledGraph,
-    Role,
-    VertexId,
-    edge,
-    verify_local_antimagic,
-)
+from .graph import Edge, LabeledGraph, Role, VertexId, edge
 from .matrices import ParamError
 
 HARD_EDGE_LIMIT = 12
@@ -214,6 +206,8 @@ def exhaustive_chi_la(g: LabeledGraph, edge_budget: int = 10) -> OracleResult:
     the valid count; it is kept for the JSON schema.  An edgeless graph
     has one labeling, the empty map, which is valid.
     """
+    if edge_budget < 0:
+        raise BudgetError(f"budget must be >= 0, got {edge_budget}")
     q = g.q
     budget = min(edge_budget, HARD_EDGE_LIMIT)
     if q > budget:
@@ -246,28 +240,6 @@ def _plain_valid(g: LabeledGraph) -> bool:
     return all(sums.get(a, 0) != sums.get(b, 0) for a, b in g.edges)
 
 
-def cross_check(g: LabeledGraph, samples: int = 50, seed: int = 0) -> bool:
-    """True iff the main verifier and the oracle-side validity check agree
-    on g's labeling and on `samples` random relabelings of it."""
-    rng = random.Random(seed)
-    order = g.sorted_edges()
-    labelings = [[g.labels[e] for e in order]]
-    base = list(range(1, g.q + 1))
-    for _ in range(samples):
-        labelings.append(rng.sample(base, g.q))
-    for labs in labelings:
-        h = LabeledGraph(
-            part=dict(g.part),
-            edges=set(g.edges),
-            labels=dict(zip(order, labs)),
-        )
-        if verify_local_antimagic(h).is_local_antimagic != _plain_valid(h):
-            raise AssertionError(
-                f"verifier/oracle disagreement on labeling {labs}"
-            )
-    return True
-
-
 def book_graph(a: int, m: int) -> LabeledGraph:
     """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
     leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
@@ -292,9 +264,3 @@ def book_graph(a: int, m: int) -> LabeledGraph:
 
 def path_p2() -> LabeledGraph:
     return book_graph(1, 0)
-
-
-PRESETS = {
-    "book": book_graph,
-    "p2": path_p2,
-}

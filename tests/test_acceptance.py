@@ -18,7 +18,6 @@ from localantimagic import (
     book_graph,
     build_family,
     build_matrix,
-    cross_check,
     exhaustive_chi_la,
     graph_stats,
     induced_colors,
@@ -222,7 +221,7 @@ def _check_cell_swaps(params, rng):
     return count
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(cross_check):
     with Criterion(
         8, "handshake, swap, bijection, and oracle-agreement properties", limit=60.0
     ):

@@ -181,6 +181,25 @@ def test_vertex_id_validation():
         VertexId(Role.X, 1, -1)
     with pytest.raises(ValueError, match="no leaf index"):
         VertexId(Role.U, 1)._replace(leaf_index=2)
+    with pytest.raises(ValueError, match=r"^copy_index must be an int, got 2\.0$"):
+        VertexId(Role.X, 1, 1)._replace(copy_index=2.0)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((Role.X, 1.5, 1), "copy_index"),
+        ((Role.X, True, 1), "copy_index"),
+        ((Role.U, 1, False), "leaf_index"),
+        ((Role.X, 2, 1.0), "leaf_index"),
+    ],
+    ids=["copy-float", "copy-bool", "leaf-bool", "leaf-float"],
+)
+def test_vertex_id_indices_must_be_ints(args, field):
+    """A float or bool index would print an id (x:1.5:1, x:True:1,
+    u:1:False) that `VertexId.parse` rejects, so it is refused here."""
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+        VertexId(*args)
 
 
 def test_vertex_id_orders_and_hashes_as_its_field_tuple():

@@ -710,11 +710,12 @@ def test_cli_exit_code_contract(runner):
          "--stage", "merged"],
         ["sweep", "-n", "1", "-k", "7", "--rs", "1", "--family", "m2"],
         ["sweep", "-n", "1", "--rs", "", "--family", "m2"],
+        ["oracle", "--preset", "p2", "--budget", "-3"],
     ],
     ids=["sweep-n-0", "sweep-rs-0", "sweep-n-negative", "sweep-rs-negative",
          "swaps-file-is-dir", "graph-file-is-dir",
          "out-dir-missing", "graph-file-not-utf8", "build-r-0", "sweep-k-with-rs",
-         "sweep-rs-empty"],
+         "sweep-rs-empty", "oracle-budget-negative"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
@@ -724,6 +725,8 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     if args[1:3] == ["-n", "-1..2"]:
         assert "error: n must be >= 1, got -1" in result.output
+    if "--budget" in args:
+        assert result.output == "error: budget must be >= 0, got -3\n"
     if "-k" in args and "--rs" in args:
         # k is derived from r and s, so a given k would be ignored
         assert result.output == "error: -k does not apply with --rs; k = 2rs + r + s\n"

@@ -1,4 +1,5 @@
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,8 @@ def test_param_validation_on_every_path():
         merged._replace(k=5)
     with pytest.raises(ParamError, match=r"^k must be an int, got 4\.0$"):
         merged._replace(k=4.0)
+    with pytest.raises(ParamError, match=r"must be a pair \(r, s\), got \(1, 1, 1\)$"):
+        merged._replace(factorization=(1, 1, 1))
     assert pickle.loads(pickle.dumps(merged)) == merged
     assert type(pickle.loads(pickle.dumps(merged))) is FamilyParams
     assert merged._replace(n=3) == FamilyParams(Family.M3, 3, 4, (1, 1))
@@ -194,6 +197,16 @@ def test_param_sizes_must_be_ints(args, field):
     TypeError in build_matrix or build_family, nor `"n": true` in a report."""
     with pytest.raises(ParamError, match=f"^{field} must be an int, got "):
         FamilyParams(*args)
+
+
+@pytest.mark.parametrize("factorization", [(1, 1, 1), (1,), 5],
+                         ids=["triple", "single", "int"])
+def test_factorization_must_be_a_pair(factorization):
+    """A factorization that is not a pair is a ParamError that shows it,
+    not a bare unpacking ValueError or TypeError."""
+    want = rf"^factorization must be a pair \(r, s\), got {re.escape(repr(factorization))}$"
+    with pytest.raises(ParamError, match=want):
+        FamilyParams(Family.M2, 2, 4, factorization)
 
 
 def test_list_factorization_is_stored_as_a_tuple():

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,9 @@ from localantimagic import (
     Role,
     VertexId,
     book_graph,
-    cross_check,
     edge,
     exhaustive_chi_la,
+    oracle,
     path_p2,
     verify_local_antimagic,
 )
@@ -110,6 +112,13 @@ def test_permutation_invariance():
 def test_budget_refusal():
     with pytest.raises(BudgetError, match="over the budget"):
         exhaustive_chi_la(book_graph(3, 2))  # 15 edges
+
+
+def test_negative_budget_is_refused_before_the_edge_count():
+    empty = LabeledGraph(part={}, edges=set())
+    with pytest.raises(BudgetError, match=r"^budget must be >= 0, got -1$"):
+        exhaustive_chi_la(empty, edge_budget=-1)
+    assert exhaustive_chi_la(empty, edge_budget=0).chi_la == 0
 
 
 def test_hard_limit_caps_budget():
@@ -349,7 +358,23 @@ def test_floor_is_two_exactly_on_bipartite_graphs():
     assert floors.count(2) >= 8 and floors.count(3) >= 8
 
 
-def test_cross_check_valid_triangle():
+def test_oracle_reads_nothing_of_the_verifier():
+    """The oracle is the independent side of the verifier-vs-oracle check:
+    it names no verifier function or record and reads no component or
+    bipartiteness of the graph index (its adjacency stays allowed)."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    verifier = {"verify_local_antimagic", "chromatic_lower_bound", "ColorReport",
+                "induced_colors", "graph_stats", "components_of", "check_tripartite"}
+    assert not (names | attrs) & verifier
+    assert not attrs & {"bipartite", "component", "components"}
+    assert "adj" in attrs  # the walk does see g.index.adj
+
+
+def test_cross_check_valid_triangle(cross_check):
     g = book_graph(1, 1)
     order = g.sorted_edges()
     labeled = LabeledGraph(
@@ -370,7 +395,7 @@ def test_cross_check_rejects_non_bijection_on_both_sides():
     assert not verify_local_antimagic(labeled).is_local_antimagic
 
 
-def test_cross_check_random_samples():
+def test_cross_check_random_samples(cross_check):
     g = book_graph(2, 1)
     order = g.sorted_edges()
     rng = random.Random(7)

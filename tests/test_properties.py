@@ -14,7 +14,6 @@ from localantimagic import (
     apply_swap,
     book_graph,
     build_family,
-    cross_check,
     induced_colors,
     iter_connecting_swaps,
     path_p2,
@@ -78,7 +77,7 @@ def test_crossing_preserves_uv_degrees():
     "graph", [book_graph(1, 1), book_graph(2, 1), book_graph(1, 2), path_p2()],
     ids=["k3", "book2", "fan", "p2"],
 )
-def test_oracle_verifier_agreement_on_random_labelings(graph):
+def test_oracle_verifier_agreement_on_random_labelings(graph, cross_check):
     order = graph.sorted_edges()
     labels = dict(zip(order, range(1, graph.q + 1)))
     g = LabeledGraph(part=dict(graph.part), edges=set(graph.edges), labels=labels)
