@@ -3,7 +3,7 @@ the leaf-merge step, and label-preserving 2-swaps."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, combinations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .graph import Edge, GraphError, LabeledGraph, Role, VertexId
@@ -218,25 +218,23 @@ def apply_swap(g: LabeledGraph, move: SwapMove) -> LabeledGraph:
         raise SwapError(f"swap result is not simple: {exc}") from exc
 
 
-def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
-    """Valid 2-swaps between leaf-class centers in different components,
-    in lexicographic (center_a, center_b, labels) order.
+def connecting_center_pairs(g: LabeledGraph) -> Iterator[tuple]:
+    """(center_a, center_b, pairs_a, pairs_b) for each pair of part-3
+    centers of equal degree in different components, in (center_a,
+    center_b) order.
 
-    Any such swap splices its two components together, so every yielded
-    move reduces the component count.  Centers are restricted to part-3
-    vertices of equal degree (the only kind of center the construction
-    ever re-homes).  For centers in different components of a tripartite
-    graph no loop or parallel edge can arise (the far endpoints of one
-    pair lie in the other center's component complement and in parts 1/2),
-    so equal pair sums are the only surviving constraint.
+    pairs_a is center_a's list of (label sum, (edge, edge)), one entry per
+    pair of its incident edges, each pair and the list in label order.
+    pairs_b maps each label sum to center_b's pairs of that sum, in label
+    order.  Each center's list and map are built once and shared by all
+    of its center pairs.  The connecting moves of the center pair are
+    (center_a, center_b, pa, pb) for each (s, pa) in pairs_a and each pb
+    in pairs_b[s]; see iter_connecting_swaps.
     """
-    g.check_tripartite()
     label, edges, inc = g._label, g._edge_list, g._incident_positions()
     centers = [c for c, cls in enumerate(g._part) if cls == 3]
-    # Per center: the pairs of its incident edges as (label sum, (edge,
-    # edge)), each pair in label order; made from the edges in label order,
-    # the pairs come in (smaller, larger label) order.  Then the same pairs
-    # grouped by label sum.
+    # made from the edges in label order, the pairs come in (smaller,
+    # larger label) order
     pairs: Dict[int, List[Tuple[int, Tuple[Edge, Edge]]]] = {}
     by_sum: Dict[int, Dict[int, List[Tuple[Edge, Edge]]]] = {}
     for c in centers:
@@ -250,25 +248,33 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
         for s, pair in seq:
             groups.setdefault(s, []).append(pair)
     comp, vs = g.index.component, g._vertices
+    for ca, cb in combinations(centers, 2):
+        if comp[ca] != comp[cb] and len(inc[ca]) == len(inc[cb]):
+            yield vs[ca], vs[cb], pairs[ca], by_sum[cb]
+
+
+def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
+    """Valid 2-swaps between leaf-class centers in different components,
+    in lexicographic (center_a, center_b, labels) order: the moves of each
+    center pair of connecting_center_pairs(g).
+
+    Any such swap splices its two components together, so every yielded
+    move reduces the component count.  Centers are restricted to part-3
+    vertices of equal degree (the only kind of center the construction
+    ever re-homes).  For centers in different components of a tripartite
+    graph no loop or parallel edge can arise (the far endpoints of one
+    pair lie in the other center's component complement and in parts 1/2),
+    so equal pair sums are the only surviving constraint.
+    """
+    g.check_tripartite()
     new = tuple.__new__  # a SwapMove without the Python-level call of SwapMove()
-
-    def per_center_pair():
-        for ai, ca in enumerate(centers):
-            seq_a, va = pairs[ca], vs[ca]
-            for cb in centers[ai + 1 :]:
-                if comp[ca] == comp[cb] or len(inc[ca]) != len(inc[cb]):
-                    continue
-                # each pair_a in order, with the pair_bs of its label sum in
-                # order: the moves in (labels_a, labels_b) order
-                groups, vb = by_sum[cb], vs[cb]
-                yield [
-                    new(SwapMove, (va, vb, pa, pb))
-                    for s, pa in seq_a
-                    if s in groups
-                    for pb in groups[s]
-                ]
-
-    return chain.from_iterable(per_center_pair())
+    # each pair_a in order, with the pair_bs of its label sum in order: the
+    # moves of a center pair in (labels_a, labels_b) order
+    return chain.from_iterable(
+        [new(SwapMove, (va, vb, pa, pb))
+         for s, pa in pairs_a if s in pairs_b for pb in pairs_b[s]]
+        for va, vb, pairs_a, pairs_b in connecting_center_pairs(g)
+    )
 
 
 def build_family(

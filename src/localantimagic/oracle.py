@@ -206,6 +206,8 @@ def exhaustive_chi_la(g: LabeledGraph, edge_budget: int = 10) -> OracleResult:
     the valid count; it is kept for the JSON schema.  An edgeless graph
     has one labeling, the empty map, which is valid.
     """
+    if type(edge_budget) is not int:  # not isinstance: True is an int too
+        raise BudgetError(f"budget must be an int, got {edge_budget!r}")
     if edge_budget < 0:
         raise BudgetError(f"budget must be >= 0, got {edge_budget}")
     q = g.q
@@ -243,6 +245,9 @@ def _plain_valid(g: LabeledGraph) -> bool:
 def book_graph(a: int, m: int) -> LabeledGraph:
     """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
     leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
+    for name, value in (("a", a), ("m", m)):
+        if type(value) is not int:  # not isinstance: True is an int too
+            raise ParamError(f"{name} must be an int, got {value!r}")
     if a < 1 or m < 0:
         raise ParamError(f"need a >= 1, m >= 0, got a={a}, m={m}")
     part: Dict[VertexId, int] = {}

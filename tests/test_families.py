@@ -21,7 +21,7 @@ from localantimagic import (
     iter_connecting_swaps,
     verify_local_antimagic,
 )
-from localantimagic.families import ConstructionError
+from localantimagic.families import ConstructionError, connecting_center_pairs
 from localantimagic.sweep import grid_cells
 
 
@@ -289,8 +289,7 @@ def test_unbalanced_swap_rejected(g433):
     sums_differ = sum(g433.labels[e] for e in a.pair_a) != sum(
         g433.labels[e] for e in b.pair_b
     )
-    if not sums_differ:
-        pytest.skip("picked moves happen to share a sum")
+    assert sums_differ
     with pytest.raises(SwapError, match="sums differ"):
         apply_swap(g433, mixed)
 
@@ -358,6 +357,12 @@ def test_connecting_swaps_match_slow_reference(fam, n, r, s, swaps_first):
         g = apply_swap(g, next(iter_connecting_swaps(g)))
     moves = list(iter_connecting_swaps(g))
     assert moves and moves == reference_connecting_swaps(g)
+    assert moves == [
+        SwapMove(va, vb, pa, pb)
+        for va, vb, pairs_a, pairs_b in connecting_center_pairs(g)
+        for s, pa in pairs_a
+        for pb in pairs_b.get(s, [])
+    ]
 
 
 def test_swaps_via_build_family(g433):

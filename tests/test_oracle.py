@@ -8,6 +8,7 @@ import pytest
 
 from localantimagic import (
     LabeledGraph,
+    ParamError,
     Role,
     VertexId,
     book_graph,
@@ -119,6 +120,23 @@ def test_negative_budget_is_refused_before_the_edge_count():
     with pytest.raises(BudgetError, match=r"^budget must be >= 0, got -1$"):
         exhaustive_chi_la(empty, edge_budget=-1)
     assert exhaustive_chi_la(empty, edge_budget=0).chi_la == 0
+
+
+@pytest.mark.parametrize("budget", [10.5, True, "10"], ids=["float", "bool", "str"])
+def test_budget_must_be_an_int(budget):
+    with pytest.raises(BudgetError, match=rf"^budget must be an int, got {budget!r}$"):
+        exhaustive_chi_la(book_graph(1, 1), edge_budget=budget)
+
+
+@pytest.mark.parametrize(
+    "a, m, name",
+    [(1.5, 1, "a"), (True, 1, "a"), ("2", 1, "a"), (1, 2.0, "m"), (1, False, "m")],
+    ids=["a-float", "a-bool", "a-str", "m-float", "m-bool"],
+)
+def test_book_sizes_must_be_ints(a, m, name):
+    bad = a if name == "a" else m
+    with pytest.raises(ParamError, match=rf"^{name} must be an int, got {bad!r}$"):
+        book_graph(a, m)
 
 
 def test_hard_limit_caps_budget():
