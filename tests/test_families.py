@@ -361,7 +361,7 @@ def test_connecting_swaps_match_slow_reference(fam, n, r, s, swaps_first):
         SwapMove(va, vb, pa, pb)
         for va, vb, pairs_a, pairs_b in connecting_center_pairs(g)
         for s, pa in pairs_a
-        for pb in pairs_b.get(s, [])
+        for pb in pairs_b.get(s, ())
     ]
 
 
