@@ -16,7 +16,14 @@ from typing import List, Optional
 
 from .graph import GraphError, verify_local_antimagic
 from .matrices import Family, FamilyParams, ParamError, build_matrix
-from .oracle import BudgetError, book_graph, exhaustive_chi_la, path_p2
+from .oracle import (
+    BudgetError,
+    book_graph,
+    book_size,
+    check_budget,
+    exhaustive_chi_la,
+    path_p2,
+)
 
 FAMILIES = [f.value for f in Family]
 
@@ -133,7 +140,9 @@ def oracle(args: argparse.Namespace) -> None:
     if args.graph:
         g = io.graph_from_json(io.read_text(args.graph))
     elif args.preset == "book":
-        g = book_graph(1 if args.a is None else args.a, 1 if args.m is None else args.m)
+        a, m = 1 if args.a is None else args.a, 1 if args.m is None else args.m
+        check_budget(book_size(a, m), args.budget)  # before building, which costs O(am)
+        g = book_graph(a, m)
     else:
         g = path_p2()
     result = exhaustive_chi_la(g, edge_budget=args.budget)

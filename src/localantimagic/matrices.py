@@ -116,76 +116,54 @@ def row_names(params: FamilyParams) -> List[Tuple[str, int]]:
     return [("ux", j) for j in leaves] + [("uv", 0)] + [("vx", j) for j in leaves]
 
 
-def _cell_m2(n: int, k: int, role: Tuple[str, int], i: int) -> int:
-    kind, j = role
-    m = n * (8 * k + 4)
-    if kind == "uv":
-        return i
-    if kind == "ux":
-        if j == 1:
-            return m + k + 1 + i if i <= k else m + i - k
-        if j == 2:
-            return m - 2 * k - 2 * i if i <= k else m - 2 * k - 1 - 2 * (i - k - 1)
-        w = (n - (j + 1) // 2) * (8 * k + 4)
-        if j % 2 == 1:
-            return w + 9 * k + 5 + i if i <= k else w + 7 * k + 4 + i
-        return w + 5 * k + 3 - i if i <= k else w + 7 * k + 4 - i
-    # vx rows
-    if j == 1:
-        return 3 * k + 1 + i if i <= k + 1 else k + i
-    if j == 2:
-        return 8 * k + 6 - 2 * i if i <= k + 1 else 8 * k + 3 - 2 * (i - k - 2)
-    t = ((j + 1) // 2) * (8 * k + 4)
-    if j % 2 == 1:
-        return t - 5 * k - 3 + i if i <= k + 1 else t - 7 * k - 4 + i
-    return t - k + 1 - i if i <= k + 1 else t + k + 2 - i
+def _rows_m2(n: int, k: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """(ux rows, vx rows) of M2.  Row j is two runs with one step: the u
+    side splits after copy k, the v side after copy k+1.  With K = 8k+4
+    and h = ceil(j/2), only the j = 2 rows step by -2."""
+    K = 8 * k + 4
+    ux, vx = [], []
+    for j in range(1, 2 * n + 1):
+        h = (j + 1) // 2
+        w, t = (n - h) * K, h * K
+        if j % 2:
+            u, v, d = (w + 9 * k + 6, w + 8 * k + 5), (t - 5 * k - 2, t - 6 * k - 2), 1
+        elif j == 2:
+            u, v, d = (w + 6 * k + 2, w + 6 * k + 3), (8 * k + 4, 8 * k + 3), -2
+        else:
+            u, v, d = (w + 5 * k + 2, w + 6 * k + 3), (t - k, t), -1
+        ux.append([*range(u[0], u[0] + d * k, d), *range(u[1], u[1] + d * (k + 1), d)])
+        vx.append([*range(v[0], v[0] + d * (k + 1), d), *range(v[1], v[1] + d * k, d)])
+    return ux, vx
 
 
-def _cell_m3(n: int, k: int, role: Tuple[str, int], i: int) -> int:
-    kind, j = role
-    if kind == "uv":
-        return i
-    if kind == "ux":
-        if j == 2 * n + 1:
-            return (n + 1) * (4 * k + 2) + 2 * k + 2 - i
-        w = (2 * n - (j + 1) // 2) * (4 * k + 2)
-        if j % 2 == 1:
-            return w + 10 * k + 6 - i
-        return w + 6 * k + 3 + i
-    # vx rows
-    if j == 1:
-        return 4 * k + 3 - i
-    t = (j // 2 - 1) * (4 * k + 2)
-    if j % 2 == 0:
-        return t + 4 * k + 2 + i
-    return t + 8 * k + 5 - i
-
-
-def _row(cell, n: int, k: int, name: Tuple[str, int]) -> List[int]:
-    """[cell(n, k, name, i) for i in 1..2k+1] from about five calls.
-
-    Every row is affine in i, with a nonzero slope, on each of the regimes
-    i <= k, i = k+1 and i >= k+2, so the first two points of a regime fix
-    the rest of it.
-    """
-    row: List[int] = []
-    for lo, hi in ((1, k), (k + 1, k + 1), (k + 2, 2 * k + 1)):
-        a = cell(n, k, name, lo)
-        d = cell(n, k, name, lo + 1) - a if hi > lo else 1
-        row += range(a, a + d * (hi - lo + 1), d)
-    return row
+def _rows_m3(n: int, k: int) -> Tuple[List[List[int]], List[List[int]]]:
+    """(ux rows, vx rows) of M3.  Row j is one run over all 2k+1 copies:
+    with K = 4k+2 and h = ceil(j/2), odd rows step by -1, even by +1."""
+    K, c = 4 * k + 2, 2 * k + 1
+    ux, vx = [], []
+    for j in range(1, 2 * n + 2):
+        h = (j + 1) // 2
+        if j % 2:
+            a, b = (2 * n - h) * K + 10 * k + 5, (h - 2) * K + 8 * k + 4
+            ux.append(list(range(a, a - c, -1)))
+            vx.append(list(range(b, b - c, -1)))
+        else:
+            a, b = (2 * n - h) * K + 6 * k + 4, (h - 1) * K + 4 * k + 3
+            ux.append(list(range(a, a + c)))
+            vx.append(list(range(b, b + c)))
+    return ux, vx
 
 
 def build_matrix(params: FamilyParams) -> LabelMatrix:
-    cell = _cell_m2 if params.family is Family.M2 else _cell_m3
-    n, k, m = params.n, params.k, params.leaves_per_copy
-    rows = [_row(cell, n, k, name) for name in row_names(params)]
-    if sorted(chain.from_iterable(rows)) != list(range(1, params.q + 1)):
+    rows_of = _rows_m2 if params.family is Family.M2 else _rows_m3
+    ux, vx = rows_of(params.n, params.k)
+    uv = list(range(1, params.copies + 1))
+    if sorted(chain(uv, *ux, *vx)) != list(range(1, params.q + 1)):
         raise AssertionError(
             f"matrix cells are not a bijection onto [1, {params.q}] "
             f"for {params}"
         )
-    return LabelMatrix(params=params, ux=rows[:m], uv=rows[m], vx=rows[m + 1 :])
+    return LabelMatrix(params=params, ux=ux, uv=uv, vx=vx)
 
 
 def matrix_column_sums(mat: LabelMatrix) -> Tuple[int, int]:

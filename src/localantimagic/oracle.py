@@ -191,6 +191,21 @@ def _kernel_inputs(g: LabeledGraph) -> Tuple[List[Edge], tuple, int]:
     return [g._edge_list[e] for e in order], inputs, size
 
 
+def check_budget(q: int, edge_budget: int) -> None:
+    """Raise BudgetError unless a graph of q edges is within the budget."""
+    if type(edge_budget) is not int:  # not isinstance: True is an int too
+        raise BudgetError(f"budget must be an int, got {edge_budget!r}")
+    if edge_budget < 0:
+        raise BudgetError(f"budget must be >= 0, got {edge_budget}")
+    budget = min(edge_budget, HARD_EDGE_LIMIT)
+    if q > budget:
+        capped = f" (hard limit; {edge_budget} requested)" if edge_budget > budget else ""
+        raise BudgetError(
+            f"graph has {q} edges, over the budget of {budget}{capped}; "
+            f"the oracle enumerates q! bijections and refuses large inputs"
+        )
+
+
 def exhaustive_chi_la(g: LabeledGraph, edge_budget: int = 10) -> OracleResult:
     """Try every bijection from the edges of g onto [1,q].
 
@@ -206,18 +221,7 @@ def exhaustive_chi_la(g: LabeledGraph, edge_budget: int = 10) -> OracleResult:
     the valid count; it is kept for the JSON schema.  An edgeless graph
     has one labeling, the empty map, which is valid.
     """
-    if type(edge_budget) is not int:  # not isinstance: True is an int too
-        raise BudgetError(f"budget must be an int, got {edge_budget!r}")
-    if edge_budget < 0:
-        raise BudgetError(f"budget must be >= 0, got {edge_budget}")
-    q = g.q
-    budget = min(edge_budget, HARD_EDGE_LIMIT)
-    if q > budget:
-        capped = f" (hard limit; {edge_budget} requested)" if edge_budget > budget else ""
-        raise BudgetError(
-            f"graph has {q} edges, over the budget of {budget}{capped}; "
-            f"the oracle enumerates q! bijections and refuses large inputs"
-        )
+    check_budget(g.q, edge_budget)
     order, inputs, size = _kernel_inputs(g)
     best, best_labels, valid = _kernels.search(*inputs)
     valid *= size
@@ -242,14 +246,20 @@ def _plain_valid(g: LabeledGraph) -> bool:
     return all(sums.get(a, 0) != sums.get(b, 0) for a, b in g.edges)
 
 
-def book_graph(a: int, m: int) -> LabeledGraph:
-    """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
-    leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
+def book_size(a: int, m: int) -> int:
+    """The edge count a(2m+1) of `book_graph(a, m)`, after checking a and m."""
     for name, value in (("a", a), ("m", m)):
         if type(value) is not int:  # not isinstance: True is an int too
             raise ParamError(f"{name} must be an int, got {value!r}")
     if a < 1 or m < 0:
         raise ParamError(f"need a >= 1, m >= 0, got a={a}, m={m}")
+    return a * (2 * m + 1)
+
+
+def book_graph(a: int, m: int) -> LabeledGraph:
+    """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
+    leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
+    book_size(a, m)
     part: Dict[VertexId, int] = {}
     edges = set()
     for i in range(1, a + 1):

@@ -451,6 +451,18 @@ def test_cli_oracle_over_budget_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_cli_oracle_refuses_an_over_budget_book_before_building_it(runner, monkeypatch):
+    """Building a book costs O(am) time and memory, so a book over the
+    budget exits 2 from its edge count a(2m+1) alone."""
+    def no_build(a, m):
+        raise AssertionError("book_graph called for an over-budget book")
+
+    monkeypatch.setattr("localantimagic.cli.book_graph", no_build)
+    result = runner.invoke(main, ["oracle", "--preset", "book", "-a", "10", "-m", "10"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: graph has 210 edges, over the budget of 10;")
+
+
 def test_cli_oracle_names_a_capped_budget(runner):
     book23 = ["oracle", "--preset", "book", "-a", "2", "-m", "3"]  # 14 edges
     result = runner.invoke(main, [*book23, "--budget", "20"])
