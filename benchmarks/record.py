@@ -17,11 +17,19 @@ the Python version, CPU count, numba and the git commit) and its contract
 line (the last line: correct, attempted, failed and every metric).  The
 file is rewritten after every run, so an interrupted series keeps what it
 ran.
+
+With two checkouts, the first is the base.  After the last run, one line
+per workload and end-to-end metric of BENCHMARK.json compares this
+series' runs: each side's median and quartiles, the second side's wins
+over the pairs (the direction taken from the metric's `better`; a tie is
+no one's win), and whether the gap between the medians exceeds the
+base's interquartile range.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -68,6 +76,46 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> Dic
             "contract": contract, "stderr": proc.stderr[-2000:] or None}
 
 
+def _quartiles(values: List[float]) -> List[float]:
+    """Q1, median, Q3, each interpolated between closest ranks."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) -> List[str]:
+    """One line per workload and metric ({"name", "better"}) comparing the
+    runs of `change` with those of `base`.  A pair is the two runs of one
+    workload and seed; a run without the metric is left out."""
+    lines = []
+    for workload in dict.fromkeys(e["workload"] for e in entries):
+        for metric in metrics:
+            name = metric["name"]
+            value: Dict[str, Dict[int, float]] = {base: {}, change: {}}
+            for e in entries:
+                got = ((e["contract"] or {}).get("metrics", {}).get(name) or {}).get("value")
+                if e["workload"] == workload and e["label"] in value and got is not None:
+                    value[e["label"]][e["seed"]] = got
+            if not value[base] or not value[change]:
+                lines.append(f"{workload} {name}: no runs of both sides")
+                continue
+            sign = 1 if metric["better"] == "lower" else -1
+            seeds = value[base].keys() & value[change].keys()
+            wins = sum(sign * (value[base][s] - value[change][s]) > 0 for s in seeds)
+            q_base = _quartiles(list(value[base].values()))
+            q_change = _quartiles(list(value[change].values()))
+            gap = q_change[1] - q_base[1]
+            iqr = q_base[2] - q_base[0]
+            lines.append(
+                f"{workload} {name} ({metric['better']} is better): "
+                f"{base} {q_base[1]:.6g} [{q_base[0]:.6g}, {q_base[2]:.6g}], "
+                f"{change} {q_change[1]:.6g} [{q_change[0]:.6g}, {q_change[2]:.6g}]; "
+                f"{change} wins {wins}/{len(seeds)} pairs; median gap {gap:+.6g} "
+                f"{'exceeds' if abs(gap) > iqr else 'within'} {base}'s IQR {iqr:.6g}"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
@@ -82,6 +130,7 @@ def main(argv=None) -> int:
     checkouts = args.checkout or [("this", ROOT)]
 
     entries = json.loads(args.out.read_text()) if args.out.is_file() else []
+    first = len(entries)
     for i, seed in enumerate(args.seeds):
         for workload in args.workload:
             for label, root in checkouts[:: -1 if i % 2 else 1]:
@@ -101,6 +150,10 @@ def main(argv=None) -> int:
                 run_s = metrics.get("run_s", {}).get("value")
                 print(f"{workload} seed {seed} {label}: exit {result['exit_code']}"
                       f", run_s {run_s}", flush=True)
+    if len(checkouts) == 2:
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        for line in summary(entries[first:], end_to_end, checkouts[0][0], checkouts[1][0]):
+            print(line)
     return 0
 
 

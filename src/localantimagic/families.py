@@ -10,10 +10,6 @@ from .graph import Edge, GraphError, LabeledGraph, Role, VertexId
 from .matrices import FamilyParams, LabelMatrix, ParamError, build_matrix
 
 
-class ConstructionError(Exception):
-    pass
-
-
 def _layout(params: FamilyParams, stage: str) -> list:
     """[vertex field tuples, classes, eu, ev] of the given stage of params,
     all in sorted order.
@@ -74,9 +70,14 @@ def _graph(layout: list, label: List[Optional[int]]) -> LabeledGraph:
     return LabeledGraph._from_arrays(ids, part, eu, ev, label)
 
 
-def _require_layout(g: LabeledGraph, params: FamilyParams, stage: str) -> None:
-    if [g._vertices, g._part, g._eu, g._ev] != _layout(params, stage):
-        raise ConstructionError(f"not the {stage} graph of {params}")
+def _restage(g: LabeledGraph, params: FamilyParams, before: str, after: str) -> LabeledGraph:
+    """g's labels on the `after` layout of params.  GraphError unless g has
+    the vertices, parts and edges of the `before` layout.  The `after`
+    layout is built first, so a merge without (r, s) raises ParamError."""
+    layout = _layout(params, after)
+    if [g._vertices, g._part, g._eu, g._ev] != _layout(params, before):
+        raise GraphError(f"not the {before} graph of {params}")
+    return _graph(layout, g._label)
 
 
 def _labels(mat: LabelMatrix) -> List[int]:
@@ -92,7 +93,7 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
 
     u vertices get part 1, v part 2, leaves part 3.
     """
-    return _graph(_layout(mat.params, "base"), _labels(mat))
+    return build_family(mat.params, "base", mat=mat)
 
 
 def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -103,10 +104,7 @@ def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     leaves of copies i >= k+2 become z_{2k+2-i,j}, and copy k+1 keeps x.
     Edges keep their sorted positions, so only the far ends change.
     """
-    if g._vertices and g._vertices[-1].role > Role.X:  # sorted: roles last
-        raise ConstructionError("crossing already applied")
-    _require_layout(g, params, "base")
-    return _graph(_layout(params, "crossed"), g._label)
+    return _restage(g, params, "base", "crossed")
 
 
 def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -118,9 +116,7 @@ def apply_merge(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
     straddles copy k+1, merges with x_{k+1} into MX(k+1).  The merged
     graph has r+1 components.
     """
-    merged = _layout(params, "merged")  # ParamError without a factorization
-    _require_layout(g, params, "crossed")
-    return _graph(merged, g._label)
+    return _restage(g, params, "crossed", "merged")
 
 
 class SwapMove(NamedTuple):

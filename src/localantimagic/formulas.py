@@ -14,7 +14,6 @@ class ColorTriple(NamedTuple):
     c_center: int
     c_u: int
     c_v: int
-    params: FamilyParams
 
 
 def center_constant(params: FamilyParams) -> int:
@@ -34,12 +33,7 @@ def color_triple(params: FamilyParams) -> ColorTriple:
     else:
         c_u = (n + 1) * (3 * n + 1) * (4 * k + 2) + n + 2 * k + 2
         c_v = (n + 1) ** 2 * (4 * k + 2) + n + 1
-    return ColorTriple(
-        c_center=scale * center_constant(params),
-        c_u=c_u,
-        c_v=c_v,
-        params=params,
-    )
+    return ColorTriple(scale * center_constant(params), c_u, c_v)
 
 
 class DistinctnessCertificate(NamedTuple):

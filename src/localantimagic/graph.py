@@ -214,9 +214,6 @@ class LabeledGraph:
     def q(self) -> int:
         return len(self._eu)
 
-    def sorted_edges(self) -> List[Edge]:
-        return list(self._edge_list)
-
     def _incident_positions(self) -> List[List[int]]:
         """Positions of the incident edges, per vertex position."""
         inc: List[List[int]] = [[] for _ in self._vertices]

@@ -15,7 +15,7 @@ def cross_check():
 
     def check(g: LabeledGraph, samples: int = 50, seed: int = 0) -> bool:
         rng = random.Random(seed)
-        order = g.sorted_edges()
+        order = sorted(g.edges)
         labelings = [[g.labels[e] for e in order]]
         base = list(range(1, g.q + 1))
         for _ in range(samples):

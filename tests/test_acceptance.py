@@ -285,7 +285,7 @@ def test_criterion_8_property_suites(cross_check):
 
         # oracle-vs-verifier agreement, 50 random labelings per preset
         for preset in (book_graph(1, 1), book_graph(2, 1), book_graph(1, 2), path_p2()):
-            order = preset.sorted_edges()
+            order = sorted(preset.edges)
             g = LabeledGraph(
                 part=dict(preset.part),
                 edges=set(preset.edges),

@@ -3,6 +3,7 @@ import pytest
 from localantimagic import (
     Family,
     FamilyParams,
+    GraphError,
     LabeledGraph,
     ParamError,
     Role,
@@ -21,7 +22,7 @@ from localantimagic import (
     iter_connecting_swaps,
     verify_local_antimagic,
 )
-from localantimagic.families import ConstructionError, connecting_center_pairs
+from localantimagic.families import connecting_center_pairs
 from localantimagic.sweep import grid_cells
 
 
@@ -166,18 +167,49 @@ def test_build_family_merged_requires_factorization():
 
 
 def test_crossing_twice_rejected(g45, g433):
-    with pytest.raises(ConstructionError, match="already applied"):
+    with pytest.raises(GraphError, match="not the base graph"):
         apply_crossing(g45, FamilyParams(Family.M2, 2, 4))
-    with pytest.raises(ConstructionError, match="already applied"):
+    with pytest.raises(GraphError, match="not the base graph"):
         apply_crossing(g433, FamilyParams(Family.M2, 2, 4, (1, 1)))
 
 
 def test_stages_reject_a_graph_of_another_layout():
     base = build_base_graph(build_matrix(FamilyParams(Family.M2, 2, 4)))
-    with pytest.raises(ConstructionError, match="not the base graph"):
+    with pytest.raises(GraphError, match="not the base graph"):
         apply_crossing(base, FamilyParams(Family.M2, 2, 3))
-    with pytest.raises(ConstructionError, match="not the crossed graph"):
+    with pytest.raises(GraphError, match="not the crossed graph"):
         apply_merge(base, FamilyParams(Family.M2, 2, 4, (1, 1)))
+
+
+def test_merge_rejects_a_base_and_a_merged_graph(g433):
+    params = FamilyParams(Family.M2, 2, 4, (1, 1))
+    for g in (build_family(params, "base"), g433):
+        with pytest.raises(GraphError, match="not the crossed graph"):
+            apply_merge(g, params)
+
+
+def test_merge_without_factorization_raises_param_error_first(g45):
+    # the merged layout is built before the input is compared, so a graph
+    # of the wrong stage gets the ParamError too
+    params = FamilyParams(Family.M2, 2, 4)
+    for g in (g45, build_family(params, "base")):
+        with pytest.raises(ParamError, match="factorization"):
+            apply_merge(g, params)
+
+
+def test_crossing_keeps_two_exchanged_labels():
+    """The stage check compares the layout only: a base graph with two
+    labels exchanged still crosses, and each edge keeps its label at its
+    sorted position."""
+    params = FamilyParams(Family.M2, 2, 4)
+    base = build_family(params, "base")
+    edges = sorted(base.edges)
+    labels = dict(base.labels)
+    labels[edges[0]], labels[edges[-1]] = labels[edges[-1]], labels[edges[0]]
+    changed = LabeledGraph(part=dict(base.part), edges=set(edges), labels=labels)
+    crossed = apply_crossing(changed, params)
+    assert crossed != build_family(params, "crossed")
+    assert [crossed.labels[e] for e in sorted(crossed.edges)] == [labels[e] for e in edges]
 
 
 def test_crossing_preserves_labels_and_uv_colors():
@@ -417,7 +449,7 @@ def counted_connecting_swaps(g):
     """sum over eligible center pairs and shared label sums s of
     |A_s| * |B_s|, from incident edges and labels alone; components by
     union-find."""
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     inc = {v: [edges[e] for e in es] for v, es in zip(g._vertices, g._incident_positions())}
     root = {v: v for v in inc}
 

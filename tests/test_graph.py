@@ -1,5 +1,5 @@
 import pickle
-from functools import cached_property
+from functools import cached_property, partial
 
 import pytest
 
@@ -357,8 +357,10 @@ def test_index_is_built_once_per_graph(bfs_runs, g45):
     assert bfs_runs == [id(g)]
 
 
-INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
-    build_family(FamilyParams(fam, n, k, rs), "merged")
+# built inside the test, so a fault in the matrix or the families fails
+# g9..g11 rather than the collection of this module
+INDEXED = [partial(book_graph, a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
+    partial(build_family, FamilyParams(fam, n, k, rs), "merged")
     for fam, n, k, rs in (
         (Family.M2, 1, 4, (1, 1)),
         (Family.M3, 2, 4, (1, 1)),
@@ -367,8 +369,9 @@ INDEXED = [book_graph(a, m) for a in (1, 2, 3) for m in (0, 1, 3)] + [
 ]
 
 
-@pytest.mark.parametrize("g", INDEXED)
-def test_index_degrees_match_incident_edges_and_kernel_csr(g):
+@pytest.mark.parametrize("build", INDEXED, ids=[f"g{i}" for i in range(len(INDEXED))])
+def test_index_degrees_match_incident_edges_and_kernel_csr(build):
+    g = build()
     inc = g._incident_positions()
     assert list(map(len, g.index.adj)) == list(map(len, inc))
     order, (eu, ev, checks, _, q, n, floor), _ = _kernel_inputs(g)
@@ -379,7 +382,7 @@ def test_index_degrees_match_incident_edges_and_kernel_csr(g):
     # each edge (a, b) is checked once, as soon as sums[a] - sums[b] is
     # final: at the latest search position among the other edges at a or
     # b, or at 0 if there are none
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     pos_of = {e: pos for pos, e in enumerate(order)}
     at = {v: {pos_of[edges[e]] for e in es} for v, es in zip(verts, inc)}
     of = {v: i for i, v in enumerate(verts)}
@@ -410,8 +413,8 @@ def test_array_built_graph_equals_its_dict_and_json_copies(build):
     assert g == copy and copy == g
     assert set(g.labels) == g.edges
     assert sorted(g.part) == g._vertices
-    assert g.sorted_edges() == sorted(g.edges)
-    e = g.sorted_edges()[0]
+    assert g._edge_list == sorted(g.edges)
+    e = sorted(g.edges)[0]
     changed = dict(g.labels)
     changed[e] += g.q
     assert g != LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=changed)
@@ -421,8 +424,8 @@ def test_views_are_read_only(g45):
     with pytest.raises(TypeError):
         g45.part[VertexId(Role.U, 1)] = 2
     with pytest.raises(TypeError):
-        g45.labels[g45.sorted_edges()[0]] = 1
+        g45.labels[sorted(g45.edges)[0]] = 1
     with pytest.raises(AttributeError):
-        g45.edges.add(g45.sorted_edges()[0])
+        g45.edges.add(sorted(g45.edges)[0])
     with pytest.raises(AttributeError):
         g45.labels = {}

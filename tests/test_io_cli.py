@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
@@ -71,7 +72,7 @@ def test_graph_json_round_trip_merged(g533):
 def _graph_dict(g):
     """The graph file's JSON object, built from the public views."""
     edges = []
-    for e in g.sorted_edges():
+    for e in sorted(g.edges):
         item = {"u": str(e[0]), "v": str(e[1])}
         if e in g.labels:
             item["label"] = g.labels[e]
@@ -81,22 +82,31 @@ def _graph_dict(g):
 
 
 def _writer_cases():
+    """(name, builder) pairs: each graph is built inside its test, so a
+    fault in the matrix or the families fails those cases rather than the
+    collection of this module."""
     u, v, x = VertexId(Role.U, 1), VertexId(Role.V, 1), VertexId(Role.X, 1, 1)
-    yield "empty", LabeledGraph(part={}, edges=set())
-    yield "no edges", LabeledGraph(part={u: 1}, edges=set())
-    yield "unlabeled", LabeledGraph(part={u: 1, v: 2, x: 3}, edges={(u, v), (u, x)})
-    yield "partly labeled", LabeledGraph(
-        part={u: 1, v: 2, x: 3}, edges={(u, v), (u, x), (v, x)},
+    yield "empty", partial(LabeledGraph, part={}, edges=set())
+    yield "no edges", partial(LabeledGraph, part={u: 1}, edges=set())
+    yield "unlabeled", partial(LabeledGraph, part={u: 1, v: 2, x: 3},
+                               edges={(u, v), (u, x)})
+    yield "partly labeled", partial(
+        LabeledGraph, part={u: 1, v: 2, x: 3}, edges={(u, v), (u, x), (v, x)},
         labels={(u, x): 2, (v, x): 10},
     )
     for fam in (Family.M2, Family.M3):
         params = FamilyParams(fam, 2, 4, (1, 1))
         for stage in ("base", "crossed", "merged"):
-            yield f"{fam.value} {stage}", build_family(params, stage)
+            yield f"{fam.value} {stage}", partial(build_family, params, stage)
 
 
-@pytest.mark.parametrize("name,g", list(_writer_cases()))
-def test_graph_json_writer_matches_json_dumps(name, g):
+WRITER_CASES = list(_writer_cases())
+
+
+@pytest.mark.parametrize("name,build", WRITER_CASES,
+                         ids=[f"{name}-g{i}" for i, (name, _) in enumerate(WRITER_CASES)])
+def test_graph_json_writer_matches_json_dumps(name, build):
+    g = build()
     assert io.graph_to_json(g) == json.dumps(_graph_dict(g), indent=2) + "\n"
 
 
@@ -217,7 +227,7 @@ def test_cli_build_and_verify(runner, tmp_path):
 
 def test_cli_verify_broken_bijection_exit_1(runner, tmp_path):
     g = build_family(FamilyParams(Family.M2, 2, 4), "crossed")
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     labels = dict(g.labels)
     labels[edges[0]] = labels[edges[1]]  # duplicate one label
     from localantimagic import LabeledGraph

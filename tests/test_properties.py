@@ -78,7 +78,7 @@ def test_crossing_preserves_uv_degrees():
     ids=["k3", "book2", "fan", "p2"],
 )
 def test_oracle_verifier_agreement_on_random_labelings(graph, cross_check):
-    order = graph.sorted_edges()
+    order = sorted(graph.edges)
     labels = dict(zip(order, range(1, graph.q + 1)))
     g = LabeledGraph(part=dict(graph.part), edges=set(graph.edges), labels=labels)
     assert cross_check(g, samples=50, seed=99)
@@ -143,7 +143,7 @@ def test_apply_swap_matches_dict_built_reference(fam, n, k, rs, swaps_first):
     for _ in range(swaps_first):
         g = apply_swap(g, next(iter_connecting_swaps(g)))
     rng = random.Random(f"{fam.value}-{n}-{k}-{swaps_first}")
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     inc = {v: [edges[e] for e in es] for v, es in zip(g._vertices, g._incident_positions())}
     reasons, leaf_centers = Counter(), 0
     for _ in range(1000):

@@ -59,3 +59,34 @@ def test_checkout(checkout_root):
 def test_checkout_rejects(checkout_root, text):
     with pytest.raises(argparse.ArgumentTypeError):
         record.checkout(text.format(dir=checkout_root))
+
+
+def _entry(label, workload, seed, **metrics):
+    return {"label": label, "workload": workload, "seed": seed,
+            "contract": {"metrics": {k: {"value": v} for k, v in metrics.items()}}}
+
+
+def test_summary_compares_medians_quartiles_and_pairs():
+    entries = [
+        _entry("parent", "w", seed, run_s=run_s, rate=rate)
+        for seed, run_s, rate in ((1, 1.0, 5.0), (2, 2.0, 5.0), (3, 3.0, 5.0), (4, 4.0, 5.0))
+    ] + [
+        _entry("change", "w", seed, run_s=run_s, rate=rate)
+        for seed, run_s, rate in ((1, 0.5, 6.0), (2, 2.0, 4.0), (3, 2.5, 7.0), (4, 3.5, 8.0))
+    ]
+    # a failed run carries no metrics and is no side's pair
+    entries.append({"label": "change", "workload": "w", "seed": 5, "contract": None})
+    lines = record.summary(entries, [{"name": "run_s", "better": "lower"},
+                                     {"name": "rate", "better": "higher"},
+                                     {"name": "setup_s", "better": "lower"}],
+                           "parent", "change")
+    assert lines == [
+        # parent Q1/median/Q3 of 1..4 = 1.75/2.5/3.25; change of 0.5, 2, 2.5,
+        # 3.5 = 1.625/2.25/2.75; seed 2 is a tie
+        "w run_s (lower is better): parent 2.5 [1.75, 3.25], change 2.25 [1.625, 2.75];"
+        " change wins 3/4 pairs; median gap -0.25 within parent's IQR 1.5",
+        # parent's IQR is 0, so any gap exceeds it
+        "w rate (higher is better): parent 5 [5, 5], change 6.5 [5.5, 7.25];"
+        " change wins 3/4 pairs; median gap +1.5 exceeds parent's IQR 0",
+        "w setup_s: no runs of both sides",
+    ]
