@@ -24,6 +24,11 @@ series' runs: each side's median and quartiles, the second side's wins
 over the pairs (the direction taken from the metric's `better`; a tie is
 no one's win), and whether the gap between the medians exceeds the
 base's interquartile range.
+
+A run is bad if it exited nonzero, printed no contract line, or reported
+`correct: false` or failed operations.  After the runs, each bad run of
+this series gets one line (workload, seed, label, exit code, failed of
+attempted ops) and the script exits 1.
 """
 from __future__ import annotations
 
@@ -116,6 +121,21 @@ def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) ->
     return lines
 
 
+def bad_runs(entries: List[Dict]) -> List[str]:
+    """One line per run that exited nonzero, printed no contract line, or
+    reported `correct: false` or failed operations."""
+    lines = []
+    for e in entries:
+        contract = e["contract"] or {}
+        if e["exit_code"] or not contract.get("correct") or contract.get("failed"):
+            lines.append(
+                f"BAD RUN {e['workload']} seed {e['seed']} {e['label']}: "
+                f"exit {e['exit_code']}, failed {contract.get('failed')}"
+                f"/{contract.get('attempted')} ops"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
@@ -154,7 +174,10 @@ def main(argv=None) -> int:
         end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
         for line in summary(entries[first:], end_to_end, checkouts[0][0], checkouts[1][0]):
             print(line)
-    return 0
+    bad = bad_runs(entries[first:])
+    for line in bad:
+        print(line)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

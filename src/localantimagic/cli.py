@@ -124,7 +124,7 @@ def sweep(args: argparse.Namespace) -> None:
     )
     report = run_sweep(cells)
     _write(io.sweep_report_to_json(report), args.out)
-    if not report.all_pass:
+    if report.failed:
         for cell in report.cells:
             p = cell.params
             rs = f" r={p.factorization[0]} s={p.factorization[1]}" if p.factorization else ""
@@ -222,6 +222,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     # each with an `error:` line; anything else is a bug and raises.  A
     # command that raised ParseError or SwapError has loaded its module.
     try:
+        if args.out:  # an unwritable path fails before any work; "a" truncates nothing
+            open(args.out, "a").close()
         args.run(args)
     except Exception as exc:
         from .families import SwapError

@@ -332,10 +332,11 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
 
 
 def chromatic_lower_bound(g: LabeledGraph) -> int:
-    """Chromatic number within the {1,2,3} bracket: 1 if edgeless, 2 if
-    bipartite with an edge, else 3 certified by the stored tripartition."""
+    """Chromatic number within the {0,1,2,3} bracket: 0 for the null graph,
+    1 if edgeless, 2 if bipartite with an edge, else 3 certified by the
+    stored tripartition."""
     if not g.q:
-        return 1
+        return min(len(g._vertices), 1)
     if g.index.bipartite:
         return 2
     g.check_tripartite()

@@ -41,21 +41,20 @@ class SweepReport(NamedTuple):
     def failed(self) -> int:
         return len(self.cells) - self.passed
 
-    @property
-    def all_pass(self) -> bool:
-        return self.failed == 0
-
 
 def check_cell(params: FamilyParams, stage: str) -> CellResult:
-    """Build one family instance and check every structural claim:
-    valid local antimagic labeling, exactly the three predicted colors,
-    per-role color agreement, component count, and the chi_la = 3
-    certificate.  Only the crossed and merged stages have claims to check."""
+    """Build one family instance and check each structural claim once:
+    valid local antimagic labeling, every vertex at its role's formula
+    color, component count, chi >= 3, the matrix's column sums, and m3's
+    regularity at n = 2s.  A valid labeling with every role at its color
+    has exactly the three predicted colors, and with chi >= 3 certifies
+    chi_la = 3.  Only the crossed and merged stages have claims to check."""
     if stage not in ("crossed", "merged"):
         raise ParamError(f"check_cell checks the crossed and merged stages, not {stage!r}")
     start = time.monotonic()
     failures: List[str] = []
-    triple = color_triple(params)
+    # Crossing keeps the leaves' color; only a merge scales it by 2s+1.
+    triple = color_triple(params if stage == "merged" else params._replace(factorization=None))
     mat = build_matrix(params)
     g = build_family(params, stage=stage, mat=mat)
     report = verify_local_antimagic(g)
@@ -63,11 +62,6 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
 
     if not report.is_local_antimagic:
         failures.append("labeling is not local antimagic")
-    expected_colors = sorted({triple.c_center, triple.c_u, triple.c_v})
-    if report.distinct_colors != expected_colors or report.c_f != 3:
-        failures.append(
-            f"colors {report.distinct_colors} != predicted {expected_colors}"
-        )
     # Sorted vertices run U, then V, then leaves: check each block's sums at once.
     vs, sums = g._vertices, report.sums
     u_end, v_end = bisect_left(vs, (Role.V,)), bisect_left(vs, (Role.X,))
@@ -76,17 +70,13 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
         if sums[lo:hi].count(want) != hi - lo:
             i = next(i for i in range(lo, hi) if sums[i] != want)
             failures.append(f"color of {vs[i]} is {sums[i]}, formula says {want}")
-            break
-    if stage == "crossed":
-        want_components = params.k + 1
-    else:
-        want_components = params.factorization[0] + 1  # type: ignore[index]
+    want_components = 1 + (
+        params.factorization[0] if stage == "merged" else params.k  # type: ignore[index]
+    )
     if components != want_components:
         failures.append(f"{components} components, expected {want_components}")
     if report.chi_lower != 3:
         failures.append(f"chi lower bound {report.chi_lower} != 3")
-    if report.chi_la_bracket != (3, 3):
-        failures.append(f"chi_la bracket {report.chi_la_bracket} != (3, 3)")
     u_sum, v_sum = matrix_column_sums(mat)
     if (u_sum, v_sum) != (triple.c_u, triple.c_v):
         failures.append(

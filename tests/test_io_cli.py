@@ -760,6 +760,38 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
         assert "k must" not in result.output
 
 
+@pytest.mark.parametrize(
+    "module, name, args",
+    [("families", "build_family", ["build", "--family", "m2", "-n", "300", "-k", "300"]),
+     ("sweep", "run_sweep", ["sweep", "-n", "1..30", "-k", "1..30"])],
+    ids=["build", "sweep"],
+)
+def test_cli_unwritable_out_exits_2_before_any_work(runner, tmp_path, monkeypatch,
+                                                    module, name, args):
+    def never(*_args, **_kwargs):
+        raise AssertionError(f"{name} ran before --out was tried")
+
+    monkeypatch.setattr(importlib.import_module(f"localantimagic.{module}"), name, never)
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "no" / "such" / "x.json")])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: [Errno 2]")
+
+
+def test_cli_failed_verify_keeps_an_existing_out_file(runner, tmp_path):
+    """--out is opened for append before the work, so a command that then
+    fails truncates nothing, even when --out names its own input."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1, "vertices": [')
+    old = tmp_path / "old.json"
+    old.write_text("old content\n")
+    for out in (old, bad):
+        before = out.read_text()
+        result = runner.invoke(main, ["verify", str(bad), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error:")
+        assert out.read_text() == before
+
+
 def _cli_process(*args):
     """`python -m localantimagic.cli ARGS` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,6 +1,7 @@
-"""The argument parsers of `benchmarks/record.py`."""
+"""The argument parsers, summary and bad-run report of `benchmarks/record.py`."""
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,35 @@ def test_summary_compares_medians_quartiles_and_pairs():
         " change wins 3/4 pairs; median gap +1.5 exceeds parent's IQR 0",
         "w setup_s: no runs of both sides",
     ]
+
+
+def test_main_names_each_bad_run_and_exits_1(tmp_path, monkeypatch, capsys):
+    def result(exit_code=0, correct=True, failed=0, contract=True):
+        return {"exit_code": exit_code, "env": None, "stderr": None,
+                "contract": {"correct": correct, "attempted": 200, "failed": failed,
+                             "metrics": {"run_s": {"value": 0.4}}} if contract else None}
+
+    results = iter([result(), result(exit_code=1, contract=False), result(correct=False),
+                    result(correct=False, failed=3), result()])
+    monkeypatch.setattr(record, "run", lambda *args: next(results))
+    out = tmp_path / "trajectory.json"
+    assert record.main(["--workload", "sweep_connect", "--seeds", "1-5", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[5:] == [
+        "BAD RUN sweep_connect seed 2 this: exit 1, failed None/None ops",
+        "BAD RUN sweep_connect seed 3 this: exit 0, failed 0/200 ops",
+        "BAD RUN sweep_connect seed 4 this: exit 0, failed 3/200 ops",
+    ]
+    assert len(json.loads(out.read_text())) == 5
+
+
+def test_main_exits_0_on_clean_runs_of_this_series(tmp_path, monkeypatch, capsys):
+    """A bad run recorded by an earlier series does not fail this one."""
+    out = tmp_path / "trajectory.json"
+    out.write_text(json.dumps([{"label": "this", "workload": "oracle_small", "seed": 9,
+                                "exit_code": 1, "contract": None}]))
+    monkeypatch.setattr(record, "run", lambda *args: {
+        "exit_code": 0, "env": None, "stderr": None,
+        "contract": {"correct": True, "attempted": 10, "failed": 0, "metrics": {}}})
+    assert record.main(["--workload", "oracle_small", "--seeds", "1", "--out", str(out)]) == 0
+    assert "BAD RUN" not in capsys.readouterr().out
