@@ -397,7 +397,11 @@ def _faults():
 
 def _shift_triple(field, delta):
     true = sweep.color_triple
-    return lambda params: true(params)._replace(**{field: getattr(true(params), field) + delta})
+
+    def triple(params):
+        t = true(params)
+        return t._replace(**{field: getattr(t, field) + delta})
+    return triple
 
 
 def _shift_components(delta):
