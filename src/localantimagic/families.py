@@ -225,7 +225,8 @@ def connecting_center_pairs(g: LabeledGraph) -> Iterator[tuple]:
     order.  Each center's list and map are built once and shared by all
     of its center pairs.  The connecting moves of the center pair are
     (center_a, center_b, pa, pb) for each (s, pa) in pairs_a and each pb
-    in pairs_b[s]; see iter_connecting_swaps.
+    in pairs_b[s]; see iter_connecting_swaps, which checks that g is
+    fully labeled.
     """
     label, edges, inc = g._label, g._edge_list, g._incident_positions()
     centers = [c for c, cls in enumerate(g._part) if cls == 3]
@@ -260,9 +261,11 @@ def iter_connecting_swaps(g: LabeledGraph) -> Iterator[SwapMove]:
     ever re-homes).  For centers in different components of a tripartite
     graph no loop or parallel edge can arise (the far endpoints of one
     pair lie in the other center's component complement and in parts 1/2),
-    so equal pair sums are the only surviving constraint.
+    so equal pair sums are the only surviving constraint.  GraphError
+    unless g is tripartite and fully labeled.
     """
     g.check_tripartite()
+    g.check_labeled()
     new = tuple.__new__  # a SwapMove without the Python-level call of SwapMove()
     # each pair_a in order, with the pair_bs of its label sum in order: the
     # moves of a center pair in (labels_a, labels_b) order

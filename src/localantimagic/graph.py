@@ -96,6 +96,13 @@ class GraphError(Exception):
     pass
 
 
+def _first_unsorted(items: list) -> Tuple[object, str]:
+    """The first item not above the one before it, and "listed twice" or
+    "out of order"."""
+    i = next(i for i in range(1, len(items)) if not items[i - 1] < items[i])
+    return items[i], "listed twice" if items[i - 1] == items[i] else "out of order"
+
+
 class GraphIndex(NamedTuple):
     adj: List[List[int]]  # neighbour positions, per position
     component: List[int]  # per position, numbered by smallest contained vertex
@@ -141,13 +148,17 @@ class LabeledGraph:
         return g
 
     def _set(self, vertices, part, eu, ev, label) -> None:
-        """Check the invariants in int form, then store the arrays.  A
-        failure names the first offending vertex or edge."""
+        """Check the invariants in int form, then store the arrays: the
+        vertices strictly increase, each part is 1..3, and each edge is
+        in range, not a loop, normalized (eu < ev) and above the one
+        before it.  A failure names the first offending vertex or edge:
+        "listed twice" if it equals the one before it, else "out of
+        order"."""
         n = len(vertices)
         if not len(part) == n or not len(eu) == len(ev) == len(label):
             raise GraphError("vertex or edge arrays differ in length")
         if not all(map(lt, vertices, islice(vertices, 1, None))):
-            raise GraphError("vertices not strictly sorted")
+            raise GraphError("vertex {} {}".format(*_first_unsorted(vertices)))
         if not {1, 2, 3}.issuperset(part):
             v, c = next((v, c) for v, c in zip(vertices, part) if c not in (1, 2, 3))
             raise GraphError(f"part class of {v} is {c}, expected 1..3")
@@ -162,10 +173,7 @@ class LabeledGraph:
             raise GraphError(f"edge ({vertices[a]}, {vertices[b]}) not normalized")
         after = zip(islice(eu, 1, None), islice(ev, 1, None))
         if not all(map(lt, zip(eu, ev), after)):
-            es = list(zip(eu, ev))
-            i = next(i for i in range(1, len(es)) if not es[i - 1] < es[i])
-            how = "listed twice" if es[i - 1] == es[i] else "out of order"
-            a, b = es[i]
+            (a, b), how = _first_unsorted(list(zip(eu, ev)))
             raise GraphError(f"edge ({vertices[a]}, {vertices[b]}) {how}")
         self.__dict__.update(
             _vertices=vertices, _part=part, _eu=eu, _ev=ev, _label=label
@@ -257,6 +265,12 @@ class LabeledGraph:
             count += 1
         return GraphIndex(adj, comp, count, bipartite)
 
+    def check_labeled(self) -> None:
+        """GraphError naming the first unlabeled edge, if any."""
+        if None in self._label:
+            a, b = self._edge_list[self._label.index(None)]
+            raise GraphError(f"unlabeled edge ({a}, {b})")
+
     def check_tripartite(self) -> None:
         part = self._part
         for a, b in zip(self._eu, self._ev):
@@ -281,10 +295,7 @@ class ColorReport(NamedTuple):
 
 def _sums(g: LabeledGraph) -> List[int]:
     """Incident-label sum per vertex position. Requires a fully labeled graph."""
-    if None in g._label:
-        e = g._label.index(None)
-        vs = g._vertices
-        raise GraphError(f"unlabeled edge ({vs[g._eu[e]]}, {vs[g._ev[e]]})")
+    g.check_labeled()
     sums = [0] * len(g._vertices)
     for a, b, lab in zip(g._eu, g._ev, g._label):
         sums[a] += lab

@@ -9,6 +9,7 @@ output is byte-stable; the JSON graph format round-trips exactly.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .graph import ColorReport, Edge, GraphError, LabeledGraph, VertexId, edge
@@ -108,27 +109,21 @@ def graph_from_json(text: str) -> LabeledGraph:
     data = _load(text)
     try:
         _check_version(data)
-        part: Dict[VertexId, int] = {}
-        ids: Dict[str, VertexId] = {}  # each listed id is parsed once
-        for item in data["vertices"]:
-            v = ids[item["id"]] = VertexId.parse(item["id"])
-            if v in part:
-                raise ParseError(f"vertex {v} listed twice")
-            part[v] = _int(item, "part")
-
-        def vertex(s: object) -> VertexId:
-            return ids[s] if type(s) is str and s in ids else VertexId.parse(s)
-
-        edges = set()
-        labels: Dict[Edge, int] = {}
+        listed = sorted((VertexId.parse(item["id"]), _int(item, "part"), item["id"])
+                        for item in data["vertices"])
+        # ids are canonical, so an endpoint's text finds its vertex exactly
+        at = {s: i for i, (_, _, s) in enumerate(listed)}
+        ends = []
         for item in data["edges"]:
-            e = edge(vertex(item["u"]), vertex(item["v"]))
-            if e in edges:
-                raise ParseError(f"edge ({e[0]}, {e[1]}) listed twice")
-            edges.add(e)
-            if "label" in item:
-                labels[e] = _int(item, "label")
-        return LabeledGraph(part=part, edges=edges, labels=labels)
+            u, v = item["u"], item["v"]
+            if not (type(u) is type(v) is str and u in at and v in at):
+                u, v = edge(VertexId.parse(u), VertexId.parse(v))
+                raise GraphError(f"edge ({u}, {v}) has endpoint outside vertex set")
+            a, b, lab = at[u], at[v], _int(item, "label") if "label" in item else None
+            ends.append((a, b, lab) if a < b else (b, a, lab))
+        ends.sort(key=itemgetter(0, 1))  # stable; never compares the labels
+        return LabeledGraph._from_arrays([v for v, _, _ in listed], [c for _, c, _ in listed],
+                                         *([e[i] for e in ends] for i in range(3)))
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise ParseError(f"bad graph file: {exc}") from exc
 

@@ -13,6 +13,7 @@ from localantimagic import (
     apply_crossing,
     apply_merge,
     apply_swap,
+    book_graph,
     build_base_graph,
     build_family,
     build_matrix,
@@ -331,6 +332,19 @@ def test_connected_graph_has_no_connecting_moves(g433):
     connected = apply_swap(g433, move)
     assert graph_stats(connected)[0] == 1
     assert list(iter_connecting_swaps(connected)) == []
+
+
+@pytest.mark.parametrize("labeled, message", [
+    (0, "unlabeled edge (u:1:0, v:1:0)"),
+    (1, "unlabeled edge (u:1:0, x:1:1)"),
+], ids=["unlabeled", "first-edge-labeled"])
+def test_connecting_swaps_name_the_first_unlabeled_edge(labeled, message):
+    book = book_graph(2, 1)
+    g = LabeledGraph(part=dict(book.part), edges=set(book.edges),
+                     labels={e: 1 for e in sorted(book.edges)[:labeled]})
+    with pytest.raises(GraphError) as info:
+        list(iter_connecting_swaps(g))
+    assert str(info.value) == message
 
 
 def test_moves_are_lexicographically_ordered(g533):

@@ -285,6 +285,20 @@ def test_array_constructor_names_the_first_bad_edge(eu, ev, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([U1, V1, V1], "vertex v:1:0 listed twice"),
+        ([U1, X1, V1], "vertex v:1:0 out of order"),
+    ],
+    ids=["twice", "unsorted"],
+)
+def test_array_constructor_names_the_first_bad_vertex(vertices, message):
+    with pytest.raises(GraphError) as info:
+        LabeledGraph._from_arrays(vertices, [1, 2, 3], [], [], [])
+    assert str(info.value) == message
+
+
 def test_graph_pickle_round_trip_after_its_views_are_read():
     g = build_family(FamilyParams(Family.M2, 1, 4, (1, 1)), "merged")
     g.part, g.labels, g.index  # cached on g; a mapping proxy does not pickle
@@ -360,6 +374,7 @@ FAULT_CELLS = [
     (FamilyParams(Family.M3, 2, 3), "crossed"),
     (FamilyParams(Family.M3, 2, 4, (1, 1)), "merged"),
 ]
+FAULT_CELL_IDS = ["m2-crossed", "m2-merged", "m3-crossed", "m3-merged"]
 
 
 def _relabel(change):
@@ -382,8 +397,9 @@ def _duplicate(labels, es):
     labels[es[-1]] = labels[es[0]]
 
 
-def _faults():
-    """(name, attribute of `sweep`, replacement factory) per injected fault."""
+def _faults(params, stage):
+    """(name, attribute of `sweep`, replacement factory) per fault injected
+    into the cell (params, stage)."""
     for field in ("c_center", "c_u", "c_v"):
         for delta in (1, -1):
             yield f"{field}{delta:+d}", "color_triple", partial(_shift_triple, field, delta)
@@ -391,8 +407,13 @@ def _faults():
         yield f"exchange-{i}-{j}", "build_family", partial(_relabel, _exchange(i, j))
     yield "duplicate", "build_family", partial(_relabel, _duplicate)
     for delta in (1, -1):
-        yield f"components{delta:+d}", "graph_stats", partial(_shift_components, delta)
+        yield f"components{delta:+d}", "graph_stats", partial(_shift_stats, 0, delta)
+    # check_cell claims regularity only for m3 merged cells at n = 2s
+    rs = params.factorization
+    if stage == "merged" and params.family is Family.M3 and params.n == 2 * rs[1]:
+        yield "regular+1", "graph_stats", partial(_shift_stats, 2, 1)
     yield "chi_lower-2", "verify_local_antimagic", _chi_lower_2
+    yield "not-local-antimagic", "verify_local_antimagic", _not_local_antimagic
 
 
 def _shift_triple(field, delta):
@@ -404,12 +425,14 @@ def _shift_triple(field, delta):
     return triple
 
 
-def _shift_components(delta):
+def _shift_stats(field, delta):
+    """graph_stats with field 0 (components) or 2 (regular degree) + delta."""
     true = sweep.graph_stats
 
     def stats(g):
-        components, degrees, regular = true(g)
-        return components + delta, degrees, regular
+        fields = list(true(g))
+        fields[field] += delta
+        return tuple(fields)
     return stats
 
 
@@ -422,14 +445,21 @@ def _chi_lower_2():
     return verify
 
 
-@pytest.mark.parametrize("params, stage", FAULT_CELLS,
-                         ids=["m2-crossed", "m2-merged", "m3-crossed", "m3-merged"])
+def _not_local_antimagic():
+    true = sweep.verify_local_antimagic
+
+    def verify(g):
+        return true(g)._replace(is_local_antimagic=False)
+    return verify
+
+
+@pytest.mark.parametrize("params, stage", FAULT_CELLS, ids=FAULT_CELL_IDS)
 def test_check_cell_fails_every_injected_fault_once_per_claim(monkeypatch, params, stage):
     """Each fault fails the cell, no claim is reported twice, and no two
     faults read the same."""
     assert check_cell(params, stage).verified
     seen = {}
-    for name, attr, make in _faults():
+    for name, attr, make in _faults(params, stage):
         with monkeypatch.context() as m:
             m.setattr(sweep, attr, make())
             cell = check_cell(params, stage)
@@ -437,6 +467,14 @@ def test_check_cell_fails_every_injected_fault_once_per_claim(monkeypatch, param
         assert len(set(cell.failures)) == len(cell.failures), (name, cell.failures)
         assert tuple(cell.failures) not in seen, (name, seen.get(tuple(cell.failures)))
         seen[tuple(cell.failures)] = name
+
+
+@pytest.mark.parametrize("params, stage", FAULT_CELLS, ids=FAULT_CELL_IDS)
+def test_check_cell_reads_the_verifiers_verdict(monkeypatch, params, stage):
+    """The verdict forced to False, with the sums kept, fails the validity
+    claim alone."""
+    monkeypatch.setattr(sweep, "verify_local_antimagic", _not_local_antimagic())
+    assert check_cell(params, stage).failures == ["labeling is not local antimagic"]
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -21,8 +22,10 @@ from localantimagic import (
     LabeledGraph,
     Role,
     VertexId,
+    book_graph,
     build_family,
     build_matrix,
+    edge,
     graph_stats,
     iter_connecting_swaps,
 )
@@ -110,6 +113,27 @@ def test_graph_json_writer_matches_json_dumps(name, build):
     assert io.graph_to_json(g) == json.dumps(_graph_dict(g), indent=2) + "\n"
 
 
+def test_graph_json_reader_sorts_what_a_file_lists_out_of_order():
+    """Vertices and edges in any order, edges either way round and one
+    unlabeled: the file parses equal to the graph of the same dicts."""
+    g = build_family(FamilyParams(Family.M2, 1, 1), "crossed")
+    data = json.loads(io.graph_to_json(g))
+    vertices, edges = list(data["vertices"]), list(data["edges"])
+    rng = random.Random(1)
+    rng.shuffle(data["vertices"])
+    rng.shuffle(data["edges"])
+    assert data["vertices"] != vertices and data["edges"] != edges
+    for item in data["edges"][::2]:
+        item["u"], item["v"] = item["v"], item["u"]
+    unlabeled = data["edges"][1]
+    del unlabeled["label"]
+    dropped = edge(VertexId.parse(unlabeled["u"]), VertexId.parse(unlabeled["v"]))
+    labels = {e: lab for e, lab in g.labels.items() if e != dropped}
+    want = LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=labels)
+    assert len(labels) == g.q - 1
+    assert io.graph_from_json(json.dumps(data)) == want
+
+
 def test_graph_json_rejects_garbage():
     with pytest.raises(io.ParseError):
         io.graph_from_json("not json at all")
@@ -132,8 +156,9 @@ def test_graph6_drops_labels_keeps_structure(g433, g45, g533):
     assert G.number_of_edges() == g433.q
     sidecar = io.labels_sidecar(g433)
     assert len(sidecar.splitlines()) == g433.q
-    # networkx as an independent decoder and encoder of the same structure
-    for g in (g433, g45, g533):
+    # networkx as an independent decoder and encoder of the same structure;
+    # the book is a triangle, with the pair (0, 1) that no family graph has
+    for g in (g433, g45, g533, book_graph(1, 1)):
         line = io.graph_to_graph6(g)
         G = nx.from_graph6_bytes(line.strip().encode("ascii"))
         index = {v: i for i, v in enumerate(sorted(g.part))}
