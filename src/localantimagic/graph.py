@@ -118,12 +118,13 @@ class LabeledGraph:
     the class of vertex i, and edge e (in sorted order) joins vertices
     `_eu[e] < _ev[e]` with label `_label[e]` (None when unlabeled).
     The package's stages, verifier, swap enumeration, emitters and oracle
-    read these arrays directly.  Every graph, from
-    `LabeledGraph(part=, edges=, labels=)` or from a transform's
-    `_from_arrays`, is checked in one place, `_set`; the dict constructor
-    adds only the checks that need dicts.  `part`, `edges` and `labels`
-    are read-only views, built on first read.  Immutable: transforms
-    return new graphs.
+    read these arrays directly.  Every graph the package builds (a stage,
+    a swap's result, a graph file, an oracle preset) comes from
+    `_from_arrays`; `LabeledGraph(part=, edges=, labels=)` takes dict
+    input from outside the package.  Both are checked in one place,
+    `_set`; the dict constructor adds only the checks that need dicts.
+    `part`, `edges` and `labels` are read-only views, built on first
+    read.  Immutable: transforms return new graphs.
     """
 
     def __init__(self, part: Mapping[VertexId, int], edges: AbstractSet[Edge],

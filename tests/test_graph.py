@@ -413,7 +413,6 @@ def _faults(params, stage):
     if stage == "merged" and params.family is Family.M3 and params.n == 2 * rs[1]:
         yield "regular+1", "graph_stats", partial(_shift_stats, 2, 1)
     yield "chi_lower-2", "verify_local_antimagic", _chi_lower_2
-    yield "not-local-antimagic", "verify_local_antimagic", _not_local_antimagic
 
 
 def _shift_triple(field, delta):
