@@ -93,7 +93,7 @@ def build_base_graph(mat: LabelMatrix) -> LabeledGraph:
 
     u vertices get part 1, v part 2, leaves part 3.
     """
-    return build_family(mat.params, "base", mat=mat)
+    return _graph(_layout(mat.params, "base"), _labels(mat))
 
 
 def apply_crossing(g: LabeledGraph, params: FamilyParams) -> LabeledGraph:
@@ -280,21 +280,15 @@ def build_family(
     params: FamilyParams,
     stage: str = "crossed",
     swaps: Optional[List[SwapMove]] = None,
-    mat: Optional[LabelMatrix] = None,
 ) -> LabeledGraph:
     """The given stage of params, then `swaps` applied in order.
 
     Builds the stage directly from the matrix's labels and that stage's
     layout; it equals the chain matrix -> base -> crossed [-> merged].
-    Pass `mat`, the label matrix of `params`, when the caller has it already.
     """
     if stage not in ("base", "crossed", "merged"):
         raise ParamError(f"unknown stage {stage!r}")
-    if mat is None:
-        mat = build_matrix(params)
-    elif mat.params != params:
-        raise ParamError(f"mat is the matrix of {mat.params}, not of {params}")
-    g = _graph(_layout(params, stage), _labels(mat))
+    g = _graph(_layout(params, stage), _labels(build_matrix(params)))
     for idx, move in enumerate(swaps or []):
         try:
             g = apply_swap(g, move)

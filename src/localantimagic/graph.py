@@ -283,15 +283,16 @@ class LabeledGraph:
 
 
 class ColorReport(NamedTuple):
+    """What verify_local_antimagic finds, each fact once: the labels form a
+    bijection iff bad_labels is empty, and the color count c_f is
+    len(distinct_colors)."""
+
     sums: List[int]  # per vertex position
     distinct_colors: List[int]
-    c_f: int
     is_local_antimagic: bool
-    bijection_ok: bool
     bad_labels: List[int]
     conflict_edges: List[Edge]
     chi_lower: int
-    chi_la_bracket: Tuple[int, Optional[int]]
 
 
 def _sums(g: LabeledGraph) -> List[int]:
@@ -321,25 +322,17 @@ def verify_local_antimagic(g: LabeledGraph) -> ColorReport:
     vertices get distinct incident-label sums."""
     sums = _sums(g)
     bad = _bijection_failures(g._label)
-    bijection_ok = not bad
     vs = g._vertices
     conflicts = [
         (vs[a], vs[b]) for a, b in zip(g._eu, g._ev) if sums[a] == sums[b]
     ]
-    distinct = sorted(set(sums))
-    ok = bijection_ok and not conflicts
-    chi_lower = chromatic_lower_bound(g)
-    bracket = (chi_lower, len(distinct) if ok else None)
     return ColorReport(
         sums=sums,
-        distinct_colors=distinct,
-        c_f=len(distinct),
-        is_local_antimagic=ok,
-        bijection_ok=bijection_ok,
+        distinct_colors=sorted(set(sums)),
+        is_local_antimagic=not bad and not conflicts,
         bad_labels=bad,
         conflict_edges=conflicts,
-        chi_lower=chi_lower,
-        chi_la_bracket=bracket,
+        chi_lower=chromatic_lower_bound(g),
     )
 
 

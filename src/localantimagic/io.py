@@ -185,19 +185,22 @@ def matrix_to_json(mat: LabelMatrix) -> str:
 # ---------------------------------------------------------- certificates
 
 def certificate_to_json(g: LabeledGraph, report: ColorReport) -> str:
-    lower, upper = report.chi_la_bracket
+    """The report, with what it implies: c_f, whether the labels form a
+    bijection, and chi_lower <= chi_la <= c_f, whose upper bound holds
+    only for a local antimagic labeling."""
+    c_f = len(report.distinct_colors)
     return _document(
         {
             "q": g.q,
-            "bijection_ok": report.bijection_ok,
+            "bijection_ok": not report.bad_labels,
             "bad_labels": report.bad_labels,
             "conflict_edges": [[str(a), str(b)] for a, b in report.conflict_edges],
             "is_local_antimagic": report.is_local_antimagic,
-            "c_f": report.c_f,
+            "c_f": c_f,
             "distinct_colors": report.distinct_colors,
             "colors": dict(zip(_names(g), report.sums)),
             "chi_lower": report.chi_lower,
-            "chi_la_bracket": [lower, upper],
+            "chi_la_bracket": [report.chi_lower, c_f if report.is_local_antimagic else None],
         }
     )
 

@@ -57,3 +57,20 @@ def g433():
 def g533():
     """G_5(3,3): merged 6-regular family, r = s = 1."""
     return build_family(FamilyParams(Family.M3, 2, 4, (1, 1)), "merged")
+
+
+@pytest.fixture
+def ux_exchanged(monkeypatch):
+    """m3 matrices with the first two cells of u-side leaf row 1
+    exchanged: still a bijection, but the u sums of columns 1 and 2 move
+    by -1 and +1."""
+    from localantimagic import matrices
+
+    true = matrices._rows_m3
+
+    def rows(n, k):
+        ux, vx = true(n, k)
+        ux[0][0], ux[0][1] = ux[0][1], ux[0][0]
+        return ux, vx
+
+    monkeypatch.setattr(matrices, "_rows_m3", rows)

@@ -153,15 +153,6 @@ def test_build_family_equals_the_dict_built_reference(params, stage):
         assert build_family(params, each) == reference_stage(params, each), each
 
 
-@pytest.mark.parametrize("stage", ["base", "crossed", "merged"])
-def test_build_family_rejects_the_matrix_of_other_params(stage):
-    params = FamilyParams(Family.M2, 2, 4, (1, 1))
-    for other in (FamilyParams(Family.M2, 2, 4), FamilyParams(Family.M2, 3, 4, (1, 1)),
-                  FamilyParams(Family.M3, 2, 4, (1, 1))):
-        with pytest.raises(ParamError, match="not of"):
-            build_family(params, stage, mat=build_matrix(other))
-
-
 def test_build_family_merged_requires_factorization():
     with pytest.raises(ParamError, match="factorization"):
         build_family(FamilyParams(Family.M2, 2, 4), "merged")

@@ -265,6 +265,26 @@ def test_cli_verify_broken_bijection_exit_1(runner, tmp_path):
     cert = json.loads(result.output)
     assert not cert["bijection_ok"]
     assert cert["bad_labels"] == [labels[edges[0]]]
+    assert cert["c_f"] == len(cert["distinct_colors"]) == len(set(cert["colors"].values()))
+    assert cert["chi_la_bracket"] == [3, None]
+
+
+def test_cli_verify_conflict_only_exit_1(runner, tmp_path):
+    """A bijection whose one edge joins two equal sums: the labels are
+    fine, the coloring is not, so chi_la gets no upper bound."""
+    u, v = VertexId(Role.U, 1), VertexId(Role.V, 1)
+    g = LabeledGraph(part={u: 1, v: 2}, edges={edge(u, v)}, labels={edge(u, v): 1})
+    gfile = tmp_path / "conflict.json"
+    gfile.write_text(io.graph_to_json(g))
+    result = runner.invoke(main, ["verify", str(gfile)])
+    assert result.exit_code == 1
+    cert = json.loads(result.output)
+    assert cert["bijection_ok"] is True
+    assert cert["bad_labels"] == []
+    assert cert["conflict_edges"] == [["u:1:0", "v:1:0"]]
+    assert cert["is_local_antimagic"] is False
+    assert (cert["c_f"], cert["distinct_colors"]) == (1, [1])
+    assert cert["chi_la_bracket"] == [2, None]
 
 
 def test_cli_verify_empty_file_exit_2(runner, tmp_path):
@@ -553,6 +573,16 @@ def test_cli_sweep_failure_names_family_stage_and_parameters(runner, tmp_path, m
                            env={"ANTIMAGIC_THREADS": "1"})
     assert result.exit_code == 1
     assert result.output == line + "\n"
+
+
+def test_cli_sweep_reports_a_matrix_fault_as_a_failure_line(runner, ux_exchanged):
+    """Unequal column sums fail the cell with a FAIL line and exit 1; they
+    do not end the sweep with an exception."""
+    result = runner.invoke(main, ["sweep", "-n", "2", "-k", "3", "--family", "m3"],
+                           env={"ANTIMAGIC_THREADS": "1"})
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "FAIL m3 crossed n=2 k=3: color of u:1:0 is 303, formula says 304\n" in result.output
 
 
 @pytest.mark.parametrize(

@@ -67,7 +67,7 @@ def test_witness_verifies():
     labeled = LabeledGraph(part=dict(g.part), edges=set(g.edges), labels=r.witness)
     rep = verify_local_antimagic(labeled)
     assert rep.is_local_antimagic
-    assert rep.c_f == r.chi_la
+    assert len(rep.distinct_colors) == r.chi_la
 
 
 def test_oracle_deterministic():
@@ -90,7 +90,7 @@ def test_minimum_is_attained():
         )
         rep = verify_local_antimagic(labeled)
         if rep.is_local_antimagic:
-            counts.append(rep.c_f)
+            counts.append(len(rep.distinct_colors))
     assert min(counts) == best
 
 
