@@ -17,4 +17,3 @@ def test_each_fault_edits_one_place(name, file, old, new):
     one fault after the code around it changes."""
     assert old != new
     assert (ROOT / file).read_text().count(old) == 1
-
