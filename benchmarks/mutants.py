@@ -5,13 +5,18 @@ Usage, from the repository root:
 
     python3 benchmarks/mutants.py
 
-For each entry of MUTANTS the script copies the tracked files (as they are
-in the working tree) into a fresh temporary directory, applies the entry's
-one text edit, and runs the Tier-1 command there with `-x`.  It prints
-`killed` with the first failing test, or `survived`, and exits 1 if any
-fault survives.  Run it on a tree whose Tier-1 tests pass: on a failing
-tree every fault reads as killed.  Each killed fault takes a few seconds,
-a surviving one a full Tier-1 run.
+The script first runs the Tier-1 command on an unmutated copy of the
+tracked files (as they are in the working tree) and exits 1 if it fails,
+since on a failing tree every fault would read as killed.  Then, for each
+entry of MUTANTS, it copies the tracked files into a fresh temporary
+directory, applies the entry's one text edit, and runs the Tier-1 command
+there with `-x`.  It prints `killed` with the first failing test when
+pytest reports failed tests (exit code 1), `survived` when every test
+passes, and exits 1 if any fault survives or pytest ends any other way.
+`tests/test_mutants.py` is left out of these runs: it checks the fault
+list against the files, so in a mutated copy it would fail for every
+fault, whatever the other tests do.  Each killed fault takes a few
+seconds, a surviving one a full Tier-1 run.
 """
 from __future__ import annotations
 
@@ -67,7 +72,7 @@ MUTANTS = [
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 
 
 def tracked_files() -> list[str]:
@@ -92,26 +97,42 @@ def first_failure(output: str) -> str:
     return "(no failing test named; see pytest's output)"
 
 
-def run(name: str, file: str, old: str, new: str, files: list[str]) -> bool:
-    """True iff the Tier-1 tests fail with the edit applied."""
+def run_tier1(files: list[str], edit: tuple[str, str, str] | None = None
+              ) -> subprocess.CompletedProcess:
+    """Run TIER1 on a fresh copy of `files`, with `edit` (file, old text,
+    new text) applied if given."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
         for f in files:
             (tree / f).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / f, tree / f)
-        apply(tree, file, old, new)
+        if edit is not None:
+            apply(tree, *edit)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-        result = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+        return subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+
+
+def run(name: str, file: str, old: str, new: str, files: list[str]) -> bool:
+    """True iff the Tier-1 tests fail with the edit applied."""
+    result = run_tier1(files, (file, old, new))
     if result.returncode == 0:
         print(f"survived  {name}", flush=True)
         return False
+    if result.returncode != 1:
+        print(result.stdout[-2000:] + result.stderr[-2000:])
+        raise SystemExit(f"{name}: pytest exited {result.returncode}, not 0 or 1")
     print(f"killed    {name}: {first_failure(result.stdout)}", flush=True)
     return True
 
 
 def main() -> None:
     files = tracked_files()
+    clean = run_tier1(files)
+    if clean.returncode != 0:
+        print(clean.stdout[-2000:] + clean.stderr[-2000:])
+        raise SystemExit(f"the unmutated tree fails Tier-1 (pytest exit "
+                         f"{clean.returncode}); no fault can be judged")
     survived = [m[0] for m in MUTANTS if not run(*m, files)]
     print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} faults killed")
     sys.exit(1 if survived else 0)

@@ -17,3 +17,9 @@ def test_each_fault_edits_one_place(name, file, old, new):
     one fault after the code around it changes."""
     assert old != new
     assert (ROOT / file).read_text().count(old) == 1
+
+
+def test_fault_runs_leave_out_the_fault_list_test():
+    """In a mutated copy the test above fails for every fault, so the fault
+    runs must not include it, or each fault would read as killed."""
+    assert "--ignore=tests/test_mutants.py" in mutants.TIER1
