@@ -37,8 +37,8 @@ MUTANTS = [
      "u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]",
      "u_block = [*range(2 * k, k, -1), 0, *range(1, k + 1)]"),
     ("m2 j = 2 u start - 1", PKG + "matrices.py",
-     "u, v, d = (w + 6 * k + 2, w + 6 * k + 3)",
-     "u, v, d = (w + 6 * k + 1, w + 6 * k + 3)"),
+     "ux.append([*u[1::2], *u[::2]])",
+     "ux.append([*u[2::2], *u[::2]])"),
     ("m3 c_v + 1", PKG + "formulas.py",
      "c_v = (n + 1) ** 2 * (4 * k + 2) + n + 1",
      "c_v = (n + 1) ** 2 * (4 * k + 2) + n + 2"),
@@ -63,9 +63,9 @@ MUTANTS = [
      "    if n > 1:\n"
      "        data[0] = 63 + ((data[0] - 63) ^ 32)\n"),
     ("m3 ux row 1 cells 1 and 2 exchanged", PKG + "matrices.py",
-     "            ux.append(list(range(a, a - c, -1)))",
-     "            ux.append([a - 1, a, *range(a - 2, a - c, -1)] if j == 1"
-     " else list(range(a, a - c, -1)))"),
+     "    ux = [list(_block(4 * n + 3 - j, c, j % 2 == 1)) for j in leaves]\n",
+     "    ux = [list(_block(4 * n + 3 - j, c, j % 2 == 1)) for j in leaves]\n"
+     "    ux[0][:2] = ux[0][1::-1]\n"),
     ("uv row reversed", PKG + "matrices.py",
      "uv = list(range(1, params.copies + 1))",
      "uv = list(range(params.copies, 0, -1))"),

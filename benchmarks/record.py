@@ -19,11 +19,14 @@ file is rewritten after every run, so an interrupted series keeps what it
 ran.
 
 With two checkouts, the first is the base.  After the last run, one line
-per workload and end-to-end metric of BENCHMARK.json compares this
-series' runs: each side's median and quartiles, the second side's wins
-over the pairs (the direction taken from the metric's `better`; a tie is
-no one's win), and whether the gap between the medians exceeds the
-base's interquartile range.
+per workload and metric of BENCHMARK.json (its `end_to_end` and
+`per_layer` lists) compares this series' runs: each side's median and
+quartiles, the second side's wins over the pairs (the direction taken
+from the metric's `better`; a tie is no one's win), and whether the gap
+between the medians exceeds the base's interquartile range.  A metric
+that no run of the workload reports gets no line, so an untraced series
+prints the end-to-end metrics and a traced one (`--trace 1`) the
+per-layer ones.
 
 A run is bad if it exited nonzero, printed no contract line, or reported
 `correct: false` or failed operations.  After the runs, each bad run of
@@ -91,17 +94,20 @@ def _quartiles(values: List[float]) -> List[float]:
 def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) -> List[str]:
     """One line per workload and metric ({"name", "better"}) comparing the
     runs of `change` with those of `base`.  A pair is the two runs of one
-    workload and seed; a run without the metric is left out."""
+    workload and seed; a run without the metric is left out, and a metric
+    that no run of the workload reports gets no line."""
     lines = []
     for workload in dict.fromkeys(e["workload"] for e in entries):
         for metric in metrics:
             name = metric["name"]
-            value: Dict[str, Dict[int, float]] = {base: {}, change: {}}
+            value: Dict[str, Dict[int, float]] = {}
             for e in entries:
                 got = ((e["contract"] or {}).get("metrics", {}).get(name) or {}).get("value")
-                if e["workload"] == workload and e["label"] in value and got is not None:
-                    value[e["label"]][e["seed"]] = got
-            if not value[base] or not value[change]:
+                if e["workload"] == workload and got is not None:
+                    value.setdefault(e["label"], {})[e["seed"]] = got
+            if not value:
+                continue
+            if base not in value or change not in value:
                 lines.append(f"{workload} {name}: no runs of both sides")
                 continue
             sign = 1 if metric["better"] == "lower" else -1
@@ -171,8 +177,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {label}: exit {result['exit_code']}"
                       f", run_s {run_s}", flush=True)
     if len(checkouts) == 2:
-        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-        for line in summary(entries[first:], end_to_end, checkouts[0][0], checkouts[1][0]):
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = bench["end_to_end"] + bench["per_layer"]
+        for line in summary(entries[first:], metrics, checkouts[0][0], checkouts[1][0]):
             print(line)
     bad = bad_runs(entries[first:])
     for line in bad:

@@ -116,45 +116,57 @@ def row_names(params: FamilyParams) -> List[Tuple[str, int]]:
     return [("ux", j) for j in leaves] + [("uv", 0)] + [("vx", j) for j in leaves]
 
 
+def _block(b: int, c: int, down: bool) -> range:
+    """Block b of c labels, b*c+1 .. b*c+c, running up or down."""
+    labels = range(b * c + 1, b * c + c + 1)
+    return labels[::-1] if down else labels
+
+
 def _rows_m2(n: int, k: int) -> Tuple[List[List[int]], List[List[int]]]:
-    """(ux rows, vx rows) of M2.  Row j is two runs with one step: the u
-    side splits after copy k, the v side after copy k+1.  With K = 8k+4
-    and h = ceil(j/2), only the j = 2 rows step by -2."""
-    K = 8 * k + 4
+    """(ux rows, vx rows) of M2.  Row j runs up for odd j and down for
+    even j, rotated left by k+1 on the u side and by k on the v side.  At
+    j = 2 a row lists one parity of its block, then the other."""
+    c = 2 * k + 1
     ux, vx = [], []
     for j in range(1, 2 * n + 1):
-        h = (j + 1) // 2
-        w, t = (n - h) * K, h * K
-        if j % 2:
-            u, v, d = (w + 9 * k + 6, w + 8 * k + 5), (t - 5 * k - 2, t - 6 * k - 2), 1
-        elif j == 2:
-            u, v, d = (w + 6 * k + 2, w + 6 * k + 3), (8 * k + 4, 8 * k + 3), -2
+        down = j % 2 == 0
+        u, v = _block(4 * n + 2 - 2 * j, c, down), _block(2 * j - 1, c, down)
+        if j == 2:
+            ux.append([*u[1::2], *u[::2]])
+            vx.append([*v[::2], *v[1::2]])
         else:
-            u, v, d = (w + 5 * k + 2, w + 6 * k + 3), (t - k, t), -1
-        ux.append([*range(u[0], u[0] + d * k, d), *range(u[1], u[1] + d * (k + 1), d)])
-        vx.append([*range(v[0], v[0] + d * (k + 1), d), *range(v[1], v[1] + d * k, d)])
+            ux.append([*u[k + 1:], *u[:k + 1]])
+            vx.append([*v[k:], *v[:k]])
     return ux, vx
 
 
 def _rows_m3(n: int, k: int) -> Tuple[List[List[int]], List[List[int]]]:
-    """(ux rows, vx rows) of M3.  Row j is one run over all 2k+1 copies:
-    with K = 4k+2 and h = ceil(j/2), odd rows step by -1, even by +1."""
-    K, c = 4 * k + 2, 2 * k + 1
-    ux, vx = [], []
-    for j in range(1, 2 * n + 2):
-        h = (j + 1) // 2
-        if j % 2:
-            a, b = (2 * n - h) * K + 10 * k + 5, (h - 2) * K + 8 * k + 4
-            ux.append(list(range(a, a - c, -1)))
-            vx.append(list(range(b, b - c, -1)))
-        else:
-            a, b = (2 * n - h) * K + 6 * k + 4, (h - 1) * K + 4 * k + 3
-            ux.append(list(range(a, a + c)))
-            vx.append(list(range(b, b + c)))
+    """(ux rows, vx rows) of M3.  Row j is its block, running down for
+    odd j and up for even j."""
+    c, leaves = 2 * k + 1, range(1, 2 * n + 2)
+    ux = [list(_block(4 * n + 3 - j, c, j % 2 == 1)) for j in leaves]
+    vx = [list(_block(j, c, j % 2 == 1)) for j in leaves]
     return ux, vx
 
 
 def build_matrix(params: FamilyParams) -> LabelMatrix:
+    """The label matrix of `params`.  Its cells are a bijection onto
+    1..q for every n and k.  Cut 1..q into the blocks of c = 2k+1
+    consecutive labels; block b is b*c+1 .. b*c+c, for b in 0..rows-1.
+
+    - `uv` is block 0.
+    - M3: vx row j is block j and ux row j block 4n+3-j, for j in
+      1..2n+1.  So the v side takes blocks 1..2n+1 and the u side blocks
+      2n+2..4n+2.
+    - M2: vx row j is block 2j-1 and ux row j block 4n+2-2j, for j in
+      1..2n.  So the v side takes the odd blocks 1..4n-1 and the u side
+      the even blocks 2..4n.
+
+    Each block is taken once, and rows = 4n+3 (M3) or 4n+1 (M2), so the
+    rows take blocks 0..rows-1 once each.  Each row lists its block
+    reversed, rotated or split by parity, which is a permutation of it.
+    So the cells list 1..q once each.  The check below is the guard.
+    """
     rows_of = _rows_m2 if params.family is Family.M2 else _rows_m3
     ux, vx = rows_of(params.n, params.k)
     uv = list(range(1, params.copies + 1))

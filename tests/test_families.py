@@ -158,6 +158,11 @@ def test_build_family_merged_requires_factorization():
         build_family(FamilyParams(Family.M2, 2, 4), "merged")
 
 
+def test_build_family_rejects_an_unknown_stage():
+    with pytest.raises(ParamError, match="unknown stage 'bogus'"):
+        build_family(FamilyParams(Family.M2, 2, 4), "bogus")
+
+
 def test_crossing_twice_rejected(g45, g433):
     with pytest.raises(GraphError, match="not the base graph"):
         apply_crossing(g45, FamilyParams(Family.M2, 2, 4))
@@ -316,6 +321,31 @@ def test_unbalanced_swap_rejected(g433):
     assert sums_differ
     with pytest.raises(SwapError, match="sums differ"):
         apply_swap(g433, mixed)
+
+
+def test_swap_naming_a_vertex_not_in_the_graph_rejected(g433):
+    move = next(iter_connecting_swaps(g433))
+    ghost = edge(move.center_a, VertexId(Role.X, 99, 1))
+    with pytest.raises(SwapError) as info:
+        apply_swap(g433, move._replace(pair_a=(move.pair_a[0], ghost)))
+    assert str(info.value) == f"edge ({ghost[0]}, {ghost[1]}) not in graph"
+
+
+def test_swap_pair_b_off_its_center_rejected(g433):
+    move = next(iter_connecting_swaps(g433))
+    stray = next(e for e in sorted(g433.edges)
+                 if move.center_b not in e and e not in move.pair_a)
+    with pytest.raises(SwapError) as info:
+        apply_swap(g433, move._replace(pair_b=(move.pair_b[0], stray)))
+    assert str(info.value) == (
+        f"edge ({stray[0]}, {stray[1]}) not incident to {move.center_b}")
+
+
+def test_swap_on_unlabeled_edges_rejected(g433):
+    move = next(iter_connecting_swaps(g433))
+    unlabeled = LabeledGraph(part=dict(g433.part), edges=set(g433.edges))
+    with pytest.raises(SwapError, match="^swap edges must be labeled$"):
+        apply_swap(unlabeled, move)
 
 
 def test_connected_graph_has_no_connecting_moves(g433):

@@ -242,6 +242,42 @@ def test_closed_form_differences_are_identities(family):
         assert diffs == closed_form_differences_times_4(family, n, r, s), (n, r, s)
 
 
+def crossed_differences(family, n, k):
+    """c_u - c_center, c_v - c_center and c_u - c_v of a crossed cell, whose
+    colors are unscaled, by README's closed forms."""
+    if family is Family.M2:
+        return (k * (8 * n * n - 2 * n - 3) + 4 * n * n - 2,
+                k * (8 * n * n - 6 * n - 3) + 4 * n * n - 2 * n - 2,
+                2 * n * (2 * k + 1))
+    K = 4 * k + 2
+    return (K * (n + 1) * (3 * n - 1) + n + 2 * k + 1,
+            K * (n + 1) * (n - 1) + n,
+            2 * n * (n + 1) * K + 2 * k + 1)
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+def test_crossed_color_differences_are_identities(family):
+    """The three crossed differences equal color_triple's, so the crossed
+    colors are distinct for every n and k.
+
+    The center color has degree 1 in n and in k, c_u and c_v degree 2 in n
+    and 1 in k, and so has each closed form.  A polynomial of degree at
+    most 2 in n and 1 in k that vanishes on {1,2,3} x {1,2} is zero, so
+    that grid proves the identities for all n and k.  None of the six
+    forms is zero for n, k >= 1: in m2, 8n^2-2n-3 and 4n^2-2 are positive,
+    c_v - c_center is -k at n = 1 and has positive coefficients of k and 1
+    for n >= 2, and 2n(2k+1) > 0; in m3 each form is a sum of terms that
+    are at least 0, and its last term is positive.  The wider grid adds
+    only evidence."""
+    proof = product(range(1, 4), range(1, 3))
+    evidence = product(range(1, 60), range(1, 60))
+    for n, k in (*proof, *evidence):
+        t = color_triple(FamilyParams(family, n, k))
+        got = (t.c_u - t.c_center, t.c_v - t.c_center, t.c_u - t.c_v)
+        assert got == crossed_differences(family, n, k), (n, k)
+        assert 0 not in got, (n, k)
+
+
 def test_certificate_requires_factorization():
     with pytest.raises(ParamError):
         distinctness_certificate(FamilyParams(Family.M2, 2, 4))

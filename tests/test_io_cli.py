@@ -38,7 +38,8 @@ GOLDEN = Path(__file__).parent / "golden"
 class _Runner:
     """Runs `cli(args)` in-process: stdout and stderr go into one buffer in
     write order, `env` is set for the call only, and a `SystemExit` becomes
-    the exit code (and the exception, unless it is 0)."""
+    the exit code (and the exception, unless it is 0).  Any other exception
+    propagates, so a traceback fails the test instead of reading as exit 1."""
 
     def invoke(self, cli, args, env=None):
         out, code, exception = StringIO(), 0, None
@@ -48,8 +49,6 @@ class _Runner:
         except SystemExit as exc:
             code = exc.code or 0
             exception = exc if code else None
-        except Exception as exc:
-            code, exception = 1, exc
         return SimpleNamespace(exit_code=code, output=out.getvalue(), exception=exception)
 
 
@@ -788,11 +787,12 @@ def test_cli_exit_code_contract(runner):
         ["sweep", "-n", "1", "-k", "7", "--rs", "1", "--family", "m2"],
         ["sweep", "-n", "1", "--rs", "", "--family", "m2"],
         ["oracle", "--preset", "p2", "--budget", "-3"],
+        ["build", "--family", "m2", "-n", "1", "-k", "1", "-r", "1"],
     ],
     ids=["sweep-n-0", "sweep-rs-0", "sweep-n-negative", "sweep-rs-negative",
          "swaps-file-is-dir", "graph-file-is-dir",
          "out-dir-missing", "graph-file-not-utf8", "build-r-0", "sweep-k-with-rs",
-         "sweep-rs-empty", "oracle-budget-negative"],
+         "sweep-rs-empty", "oracle-budget-negative", "build-r-without-s"],
 )
 def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
     (tmp_path / "latin1.json").write_bytes('{"id": "é"}'.encode("latin-1"))
@@ -809,6 +809,8 @@ def test_cli_bad_input_exits_2_with_message(runner, tmp_path, args):
         assert result.output == "error: -k does not apply with --rs; k = 2rs + r + s\n"
     elif "" in args:
         assert result.output == "error: bad range ''\n"
+    elif "-r" in args and "-s" not in args:
+        assert result.output == "error: -r and -s must be given together\n"
     elif "--rs" in args or "-r" in args:
         # the bad factorization is named, not the k derived from it
         assert "r, s must be >= 1" in result.output

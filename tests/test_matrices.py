@@ -19,8 +19,9 @@ from localantimagic.matrices import row_names
 GOLDEN = Path(__file__).parent / "golden"
 
 
-# The matrices cell by cell, as a separate writing of the run tables that
-# build_matrix uses: test_rows_match_the_per_cell_formulas compares the two.
+# The matrices cell by cell, as a separate writing of the label blocks that
+# build_matrix lists row by row: test_rows_match_the_per_cell_formulas
+# compares the two.
 def _cell_m2(n: int, k: int, role: Tuple[str, int], i: int) -> int:
     kind, j = role
     m = n * (8 * k + 4)

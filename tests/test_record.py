@@ -89,7 +89,44 @@ def test_summary_compares_medians_quartiles_and_pairs():
         # parent's IQR is 0, so any gap exceeds it
         "w rate (higher is better): parent 5 [5, 5], change 6.5 [5.5, 7.25];"
         " change wins 3/4 pairs; median gap +1.5 exceeds parent's IQR 0",
-        "w setup_s: no runs of both sides",
+        # setup_s, which no run reports, gets no line
+    ]
+
+
+def test_main_summarises_a_traced_pair_by_its_per_layer_metrics(tmp_path, monkeypatch,
+                                                                capsys):
+    """A traced run reports per-layer metrics and no end-to-end ones: each
+    per-layer metric of BENCHMARK.json that a run reports gets its line,
+    and a metric that no run reports gets none."""
+    labels = {}
+    for label in ("parent", "change"):
+        (tmp_path / label / "perfbench").mkdir(parents=True)
+        (tmp_path / label / "perfbench" / "run.py").write_text("")
+        labels[(tmp_path / label).resolve()] = label
+
+    def run(root, workload, seed, seconds, trace):
+        assert trace == 1
+        metrics = {"matrices.build.self_s": {"parent": 2.0, "change": 1.0}[labels[root]] * seed,
+                   "graph.verify.edges": 100}
+        if labels[root] == "parent":
+            metrics["oracle.valid_ratio"] = 0.5
+        return {"exit_code": 0, "env": None, "stderr": None,
+                "contract": {"correct": True, "attempted": 10, "failed": 0,
+                             "metrics": {k: {"value": v} for k, v in metrics.items()}}}
+
+    monkeypatch.setattr(record, "run", run)
+    assert record.main(["--workload", "oracle_small", "--seeds", "1-2", "--trace", "1",
+                        "--checkout", f"parent={tmp_path / 'parent'}",
+                        "--checkout", f"change={tmp_path / 'change'}",
+                        "--out", str(tmp_path / "trajectory.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[4:] == [
+        "oracle_small graph.verify.edges (lower is better): parent 100 [100, 100],"
+        " change 100 [100, 100]; change wins 0/2 pairs; median gap +0 within"
+        " parent's IQR 0",
+        "oracle_small matrices.build.self_s (lower is better): parent 3 [2.5, 3.5],"
+        " change 1.5 [1.25, 1.75]; change wins 2/2 pairs; median gap -1.5 exceeds"
+        " parent's IQR 1",
+        "oracle_small oracle.valid_ratio: no runs of both sides",
     ]
 
 
