@@ -54,9 +54,9 @@ MUTANTS = [
     ("regularity check is False", PKG + "sweep.py",
      "and regular != 2 * params.n + 2",
      "and False"),
-    ("validity check is False", PKG + "sweep.py",
-     "if not report.is_local_antimagic:",
-     "if False:"),
+    ("leaf color range emptied", PKG + "sweep.py",
+     "(v_end, len(vs), triple.c_center)",
+     "(v_end, v_end, triple.c_center)"),
     ("graph6 (0, 1) bit flipped", PKG + "io.py",
      "        data[bit // 6] += 32 >> bit % 6\n",
      "        data[bit // 6] += 32 >> bit % 6\n"
@@ -75,10 +75,12 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 
 
-def tracked_files() -> list[str]:
-    out = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
+def tracked_files(root: Path = ROOT) -> list[str]:
+    """The files git tracks under `root` that exist in its working tree:
+    a tracked file deleted there is left out, not copied."""
+    out = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
                          capture_output=True, text=True).stdout
-    return [name for name in out.split("\0") if name]
+    return [name for name in out.split("\0") if name and (root / name).is_file()]
 
 
 def apply(tree: Path, file: str, old: str, new: str) -> None:

@@ -24,9 +24,12 @@ per workload and metric of BENCHMARK.json (its `end_to_end` and
 quartiles, the second side's wins over the pairs (the direction taken
 from the metric's `better`; a tie is no one's win), and whether the gap
 between the medians exceeds the base's interquartile range.  A metric
-that no run of the workload reports gets no line, so an untraced series
-prints the end-to-end metrics and a traced one (`--trace 1`) the
-per-layer ones.
+with a `bound` (each `end_to_end` one) also gives how much worse the
+second side's median is, relative to a nonzero base median, and whether
+that exceeds the bound: the benchmark's gate rejects a change on that
+rule.  A metric that no run of the workload reports gets no line,
+so an untraced series prints the end-to-end metrics and a traced one
+(`--trace 1`) the per-layer ones.
 
 A run is bad if it exited nonzero, printed no contract line, or reported
 `correct: false` or failed operations.  After the runs, each bad run of
@@ -92,8 +95,8 @@ def _quartiles(values: List[float]) -> List[float]:
 
 
 def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) -> List[str]:
-    """One line per workload and metric ({"name", "better"}) comparing the
-    runs of `change` with those of `base`.  A pair is the two runs of one
+    """One line per workload and metric ({"name", "better"[, "bound"]})
+    comparing the runs of `change` with those of `base`.  A pair is the two runs of one
     workload and seed; a run without the metric is left out, and a metric
     that no run of the workload reports gets no line."""
     lines = []
@@ -117,13 +120,19 @@ def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) ->
             q_change = _quartiles(list(value[change].values()))
             gap = q_change[1] - q_base[1]
             iqr = q_base[2] - q_base[0]
-            lines.append(
+            line = (
                 f"{workload} {name} ({metric['better']} is better): "
                 f"{base} {q_base[1]:.6g} [{q_base[0]:.6g}, {q_base[2]:.6g}], "
                 f"{change} {q_change[1]:.6g} [{q_change[0]:.6g}, {q_change[2]:.6g}]; "
                 f"{change} wins {wins}/{len(seeds)} pairs; median gap {gap:+.6g} "
                 f"{'exceeds' if abs(gap) > iqr else 'within'} {base}'s IQR {iqr:.6g}"
             )
+            if "bound" in metric and q_base[1]:
+                worse = sign * gap / abs(q_base[1])
+                over = worse > metric["bound"]
+                line += (f"; {worse:+.1%} worse, {'OVER' if over else 'within'} "
+                         f"the {metric['bound']:.0%} bound")
+            lines.append(line)
     return lines
 
 

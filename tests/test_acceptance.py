@@ -79,9 +79,13 @@ def test_criterion_1_golden_tables():
 
 
 def _check_crossed_cell(family, n, k):
+    """check_cell's verdict, and the verifier's on the same graph: a cell
+    that passes is local antimagic without check_cell running the
+    verifier."""
     params = FamilyParams(family, n, k)
     cell = check_cell(params, "crossed")
     assert cell.verified, f"{params}: {cell.failures}"
+    assert verify_local_antimagic(build_family(params, "crossed")).is_local_antimagic, params
     return cell
 
 

@@ -410,7 +410,7 @@ def _faults(params, stage):
     rs = params.factorization
     if stage == "merged" and params.family is Family.M3 and params.n == 2 * rs[1]:
         yield "regular+1", "graph_stats", partial(_shift_stats, 2, 1)
-    yield "chi_lower-2", "verify_local_antimagic", _chi_lower_2
+    yield "chi_lower-2", "chromatic_lower_bound", _chi_lower_2
 
 
 def _shift_triple(field, delta):
@@ -434,19 +434,7 @@ def _shift_stats(field, delta):
 
 
 def _chi_lower_2():
-    true = sweep.verify_local_antimagic
-
-    def verify(g):
-        return true(g)._replace(chi_lower=2)
-    return verify
-
-
-def _not_local_antimagic():
-    true = sweep.verify_local_antimagic
-
-    def verify(g):
-        return true(g)._replace(is_local_antimagic=False)
-    return verify
+    return lambda g: 2
 
 
 @pytest.mark.parametrize("params, stage", FAULT_CELLS, ids=FAULT_CELL_IDS)
@@ -480,14 +468,6 @@ def test_check_cell_fails_a_matrix_with_unequal_column_sums(ux_exchanged, params
     cell = check_cell(params, stage)
     assert not cell.verified
     assert cell.failures[0] == line
-
-
-@pytest.mark.parametrize("params, stage", FAULT_CELLS, ids=FAULT_CELL_IDS)
-def test_check_cell_reads_the_verifiers_verdict(monkeypatch, params, stage):
-    """The verdict forced to False, with the sums kept, fails the validity
-    claim alone."""
-    monkeypatch.setattr(sweep, "verify_local_antimagic", _not_local_antimagic())
-    assert check_cell(params, stage).failures == ["labeling is not local antimagic"]
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])

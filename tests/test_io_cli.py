@@ -608,6 +608,20 @@ def test_cli_sweep_bad_thread_count_exit_2(runner, threads):
     assert result.output.startswith("error: ANTIMAGIC_THREADS")
 
 
+def test_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
+    """Without ANTIMAGIC_THREADS, a process pinned to one of two CPUs gets
+    one worker, so `sweep` starts no pool; where the platform cannot tell
+    the CPUs a process may use, the CPU count."""
+    from localantimagic import sweep
+
+    monkeypatch.delenv("ANTIMAGIC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sweep.worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sweep.worker_count() == 2
+
+
 def _sweep_without_runtimes(runner, args, threads):
     result = runner.invoke(main, ["sweep", *args], env={"ANTIMAGIC_THREADS": threads})
     assert result.exit_code == 0

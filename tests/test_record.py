@@ -93,6 +93,26 @@ def test_summary_compares_medians_quartiles_and_pairs():
     ]
 
 
+def test_summary_flags_a_median_worse_than_the_metric_bound():
+    """A metric with a bound gets how much worse the change's median is,
+    relative to the base's, and whether that exceeds the bound."""
+    entries = [_entry("parent", "w", seed, setup_s=setup_s, rate=rate)
+               for seed, setup_s, rate in ((1, 0.0201, 10.0), (2, 0.0201, 10.0))]
+    entries += [_entry("change", "w", seed, setup_s=setup_s, rate=rate)
+                for seed, setup_s, rate in ((1, 0.0271, 9.5), (2, 0.0271, 9.5))]
+    lines = record.summary(entries, [{"name": "setup_s", "better": "lower", "bound": 0.25},
+                                     {"name": "rate", "better": "higher", "bound": 0.1}],
+                           "parent", "change")
+    assert lines == [
+        "w setup_s (lower is better): parent 0.0201 [0.0201, 0.0201], change 0.0271"
+        " [0.0271, 0.0271]; change wins 0/2 pairs; median gap +0.007 exceeds parent's"
+        " IQR 0; +34.8% worse, OVER the 25% bound",
+        "w rate (higher is better): parent 10 [10, 10], change 9.5 [9.5, 9.5]; change"
+        " wins 0/2 pairs; median gap -0.5 exceeds parent's IQR 0; +5.0% worse, within"
+        " the 10% bound",
+    ]
+
+
 def test_main_summarises_a_traced_pair_by_its_per_layer_metrics(tmp_path, monkeypatch,
                                                                 capsys):
     """A traced run reports per-layer metrics and no end-to-end ones: each
