@@ -96,9 +96,9 @@ def _quartiles(values: List[float]) -> List[float]:
 
 def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) -> List[str]:
     """One line per workload and metric ({"name", "better"[, "bound"]})
-    comparing the runs of `change` with those of `base`.  A pair is the two runs of one
-    workload and seed; a run without the metric is left out, and a metric
-    that no run of the workload reports gets no line."""
+    comparing the runs of `change` with those of `base`.  A pair is the
+    two runs of one workload and seed; a run without the metric is left
+    out, and a metric that no run of the workload reports gets no line."""
     lines = []
     for workload in dict.fromkeys(e["workload"] for e in entries):
         for metric in metrics:
@@ -130,8 +130,8 @@ def summary(entries: List[Dict], metrics: List[Dict], base: str, change: str) ->
             if "bound" in metric and q_base[1]:
                 worse = sign * gap / abs(q_base[1])
                 over = worse > metric["bound"]
-                line += (f"; {worse:+.1%} worse, {'OVER' if over else 'within'} "
-                         f"the {metric['bound']:.0%} bound")
+                line += (f"; {abs(worse):.1%} {'worse' if worse > 0 else 'better'}, "
+                         f"{'OVER' if over else 'within'} the {metric['bound']:.0%} bound")
             lines.append(line)
     return lines
 

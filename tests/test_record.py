@@ -106,9 +106,9 @@ def test_summary_flags_a_median_worse_than_the_metric_bound():
     assert lines == [
         "w setup_s (lower is better): parent 0.0201 [0.0201, 0.0201], change 0.0271"
         " [0.0271, 0.0271]; change wins 0/2 pairs; median gap +0.007 exceeds parent's"
-        " IQR 0; +34.8% worse, OVER the 25% bound",
+        " IQR 0; 34.8% worse, OVER the 25% bound",
         "w rate (higher is better): parent 10 [10, 10], change 9.5 [9.5, 9.5]; change"
-        " wins 0/2 pairs; median gap -0.5 exceeds parent's IQR 0; +5.0% worse, within"
+        " wins 0/2 pairs; median gap -0.5 exceeds parent's IQR 0; 5.0% worse, within"
         " the 10% bound",
     ]
 
