@@ -52,11 +52,14 @@ MUTANTS = [
      "bipartite = False",
      "bipartite = True"),
     ("regularity check is False", PKG + "sweep.py",
-     "and regular != 2 * params.n + 2",
+     "and regular != want.regular",
      "and False"),
     ("leaf color range emptied", PKG + "sweep.py",
-     "(v_end, len(vs), triple.c_center)",
-     "(v_end, v_end, triple.c_center)"),
+     "(v_end, len(vs), c_center)",
+     "(v_end, v_end, c_center)"),
+    ("crossed colors scaled by (r, s)", PKG + "formulas.py",
+     "color_triple(params._replace(factorization=None))",
+     "color_triple(params)"),
     ("graph6 (0, 1) bit flipped", PKG + "io.py",
      "        data[bit // 6] += 32 >> bit % 6\n",
      "        data[bit // 6] += 32 >> bit % 6\n"

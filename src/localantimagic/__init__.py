@@ -16,8 +16,7 @@ _MODULE_OF = {
     for module, names in (
         ("families", "SwapError SwapMove apply_crossing apply_merge apply_swap"
                      " build_base_graph build_family iter_connecting_swaps"),
-        ("formulas", "ColorTriple DistinctnessCertificate color_triple"
-                     " distinctness_certificate"),
+        ("formulas", "ColorTriple color_triple"),
         ("graph", "ColorReport GraphError LabeledGraph Role VertexId"
                   " chromatic_lower_bound edge graph_stats induced_colors"
                   " verify_local_antimagic"),

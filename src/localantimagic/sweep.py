@@ -8,7 +8,7 @@ from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple
 
 from .families import build_family
-from .formulas import color_triple
+from .formulas import claims
 from .graph import Role, _sums, chromatic_lower_bound, graph_stats
 from .matrices import Family, FamilyParams, ParamError
 
@@ -39,8 +39,8 @@ class SweepReport(NamedTuple):
 def check_cell(params: FamilyParams, stage: str) -> CellResult:
     """Build one family instance and check each measured claim once: every
     vertex at its role's formula color, component count, chi >= 3, and
-    m3's regularity at n = 2s.  Only the crossed and merged stages have
-    claims to check.
+    m3's regularity at n = 2s.  The expected values, and which stages have
+    claims, come from `formulas.claims`.
 
     A cell that passes is local antimagic without a verifier run:
     - every edge joins two different parts: chi lower bound 3 comes only
@@ -57,45 +57,34 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
     that certifies chi_la = 3.
 
     u_i's incident labels are column i's uv and ux cells, v_i's its uv and
-    vx cells, so the role colors are the matrix's column-sum claim."""
-    if stage not in ("crossed", "merged"):
-        raise ParamError(f"check_cell checks the crossed and merged stages, not {stage!r}")
+    vx cells, so the u and v colors are the matrix's column-sum claim."""
     start = time.monotonic()
+    want = claims(params, stage)
+    c_center, c_u, c_v = want.colors
     failures: List[str] = []
-    # Crossing keeps the leaves' color; only a merge scales it by 2s+1.
-    triple = color_triple(params if stage == "merged" else params._replace(factorization=None))
     g = build_family(params, stage)
     components, _, regular = graph_stats(g)
 
     # Sorted vertices run U, then V, then leaves: check each block's sums at once.
     vs, sums = g._vertices, _sums(g)
     u_end, v_end = bisect_left(vs, (Role.V,)), bisect_left(vs, (Role.X,))
-    for lo, hi, want in ((0, u_end, triple.c_u), (u_end, v_end, triple.c_v),
-                         (v_end, len(vs), triple.c_center)):
-        if sums[lo:hi].count(want) != hi - lo:
-            i = next(i for i in range(lo, hi) if sums[i] != want)
-            failures.append(f"color of {vs[i]} is {sums[i]}, formula says {want}")
-    want_components = 1 + (
-        params.factorization[0] if stage == "merged" else params.k  # type: ignore[index]
-    )
-    if components != want_components:
-        failures.append(f"{components} components, expected {want_components}")
+    for lo, hi, color in ((0, u_end, c_u), (u_end, v_end, c_v), (v_end, len(vs), c_center)):
+        if sums[lo:hi].count(color) != hi - lo:
+            i = next(i for i in range(lo, hi) if sums[i] != color)
+            failures.append(f"color of {vs[i]} is {sums[i]}, formula says {color}")
+    if components != want.components:
+        failures.append(f"{components} components, expected {want.components}")
     chi_lower = chromatic_lower_bound(g)
-    if chi_lower != 3:
-        failures.append(f"chi lower bound {chi_lower} != 3")
-    if (
-        stage == "merged"
-        and params.family is Family.M3
-        and params.n == 2 * params.factorization[1]  # type: ignore[index]
-        and regular != 2 * params.n + 2
-    ):
-        failures.append(f"expected {2 * params.n + 2}-regular, got {regular}")
+    if chi_lower != want.chi:
+        failures.append(f"chi lower bound {chi_lower} != {want.chi}")
+    if want.regular is not None and regular != want.regular:
+        failures.append(f"expected {want.regular}-regular, got {regular}")
 
     return CellResult(
         params=params,
         stage=stage,
         verified=not failures,
-        colors=(triple.c_center, triple.c_u, triple.c_v),
+        colors=(c_center, c_u, c_v),
         components=components,
         regular=regular,
         runtime_ms=int((time.monotonic() - start) * 1000),

@@ -25,7 +25,7 @@ from localantimagic import (
 )
 from localantimagic.graph import components_of
 from localantimagic.oracle import _kernel_inputs
-from localantimagic import sweep
+from localantimagic import formulas, sweep
 from localantimagic.sweep import check_cell
 
 
@@ -339,9 +339,12 @@ def test_check_cell_runs_one_bfs(bfs_runs, params, stage):
 def test_check_cell_rejects_the_base_stage(params):
     """The base stage has no claims to check: with or without a
     factorization, check_cell refuses it by name instead of crashing or
-    reporting failures that do not apply."""
+    reporting failures that do not apply.  A merged cell without (r, s)
+    has no claims either and is refused with a ParamError too."""
     with pytest.raises(ParamError, match="'base'"):
         check_cell(params, "base")
+    with pytest.raises(ParamError, match=r"factorization \(r, s\)"):
+        check_cell(params._replace(factorization=None), "merged")
 
 
 @pytest.mark.parametrize(
@@ -354,13 +357,13 @@ def test_check_cell_rejects_the_base_stage(params):
 def test_check_cell_names_the_first_vertex_off_its_formula_color(monkeypatch, field, failures):
     """A formula color shifted by one fails the role-color claim at the
     first vertex of that role, in sorted order."""
-    true_triple = sweep.color_triple
+    true_triple = formulas.color_triple
 
     def shifted(params):
         triple = true_triple(params)
         return triple._replace(**{field: getattr(triple, field) + 1})
 
-    monkeypatch.setattr(sweep, "color_triple", shifted)
+    monkeypatch.setattr(formulas, "color_triple", shifted)
     cell = check_cell(FamilyParams(Family.M2, 2, 4), "crossed")
     assert not cell.verified
     assert cell.failures == failures
@@ -396,25 +399,26 @@ def _duplicate(labels, es):
 
 
 def _faults(params, stage):
-    """(name, attribute of `sweep`, replacement factory) per fault injected
+    """(name, module, attribute, replacement factory) per fault injected
     into the cell (params, stage)."""
     for field in ("c_center", "c_u", "c_v"):
         for delta in (1, -1):
-            yield f"{field}{delta:+d}", "color_triple", partial(_shift_triple, field, delta)
+            yield (f"{field}{delta:+d}", formulas, "color_triple",
+                   partial(_shift_triple, field, delta))
     for i, j in ((0, 1), (0, -1), (1, -2)):
-        yield f"exchange-{i}-{j}", "build_family", partial(_relabel, _exchange(i, j))
-    yield "duplicate", "build_family", partial(_relabel, _duplicate)
+        yield f"exchange-{i}-{j}", sweep, "build_family", partial(_relabel, _exchange(i, j))
+    yield "duplicate", sweep, "build_family", partial(_relabel, _duplicate)
     for delta in (1, -1):
-        yield f"components{delta:+d}", "graph_stats", partial(_shift_stats, 0, delta)
+        yield f"components{delta:+d}", sweep, "graph_stats", partial(_shift_stats, 0, delta)
     # check_cell claims regularity only for m3 merged cells at n = 2s
     rs = params.factorization
     if stage == "merged" and params.family is Family.M3 and params.n == 2 * rs[1]:
-        yield "regular+1", "graph_stats", partial(_shift_stats, 2, 1)
-    yield "chi_lower-2", "chromatic_lower_bound", _chi_lower_2
+        yield "regular+1", sweep, "graph_stats", partial(_shift_stats, 2, 1)
+    yield "chi_lower-2", sweep, "chromatic_lower_bound", _chi_lower_2
 
 
 def _shift_triple(field, delta):
-    true = sweep.color_triple
+    true = formulas.color_triple
 
     def triple(params):
         t = true(params)
@@ -443,9 +447,9 @@ def test_check_cell_fails_every_injected_fault_once_per_claim(monkeypatch, param
     faults read the same."""
     assert check_cell(params, stage).verified
     seen = {}
-    for name, attr, make in _faults(params, stage):
+    for name, module, attr, make in _faults(params, stage):
         with monkeypatch.context() as m:
-            m.setattr(sweep, attr, make())
+            m.setattr(module, attr, make())
             cell = check_cell(params, stage)
         assert not cell.verified, name
         if attr == "color_triple":  # one formula color off fails one role's line

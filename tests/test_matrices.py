@@ -1,5 +1,6 @@
 import pickle
 import re
+from itertools import product
 from pathlib import Path
 from typing import Tuple
 
@@ -150,9 +151,12 @@ def test_m3_column_sums_match_closed_forms(n, k):
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 4), (3, 2), (5, 5)])
+@pytest.mark.parametrize("n,k", list(product(range(1, 13), repeat=2)))
 def test_crossing_pair_constant(family, n, k):
-    """Opposite-column u/v cell pairs all hit the per-family constant."""
+    """The leaf-color lemma: `ux` row j at copy i plus `vx` row j at copy
+    2k+2-i is center_constant, for every row j and copy i.  A crossed leaf
+    is joined to u_i and v_(2k+2-i), so this is its color (README,
+    "Grid-checked only")."""
     params = FamilyParams(family, n, k)
     mat = build_matrix(params)
     const = center_constant(params)
