@@ -36,6 +36,12 @@ MUTANTS = [
     ("mirrored u_block", PKG + "families.py",
      "u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]",
      "u_block = [*range(2 * k, k, -1), 0, *range(1, k + 1)]"),
+    ("join's v side reads u_block", PKG + "graph.py",
+     "for i, b in enumerate(v_block):",
+     "for i, b in enumerate(u_block):"),
+    ("book's v side one copy short", PKG + "oracle.py",
+     "_join(a, m, [0] * a, [0] * a, [(Role.X, 1)])",
+     "_join(a, m, [0] * a, [0] * (a - 1), [(Role.X, 1)])"),
     ("m2 j = 2 u start - 1", PKG + "matrices.py",
      "ux.append([*u[1::2], *u[::2]])",
      "ux.append([*u[2::2], *u[::2]])"),

@@ -6,68 +6,60 @@ from bisect import bisect_left, bisect_right
 from itertools import chain, combinations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .graph import Edge, GraphError, LabeledGraph, Role, VertexId
+from .graph import Edge, GraphError, LabeledGraph, Role, VertexId, _graph, _join
 from .matrices import FamilyParams, LabelMatrix, ParamError, build_matrix
 
 
 def _layout(params: FamilyParams, stage: str) -> list:
-    """[vertex field tuples, classes, eu, ev] of the given stage of params,
-    all in sorted order.
+    """The `_join` layout of the given stage of params: this function only
+    chooses the block maps u_block, v_block and the block names.  With
+    c = 2k+1 copies and m leaves per block, u_i and v_i have degree m+1.
 
-    The vertices are u_1..u_c, v_1..v_c, then the leaves in blocks of m.
-    The edges are u_i v_i and u_i's leaf edges, copy by copy, then v_i's
-    leaf edges; each goes to leaf j of a block, in order j.  In the base
-    graph copy i has its own block x_i on both sides.  In the crossed graph
-    the blocks are x_{k+1}, y_1..y_k, z_1..z_k: u_i is joined to y_i
-    (i <= k), x_{k+1} (i = k+1) or z_{2k+2-i} (i >= k+2), and v_i to the
-    block of u_{2k+2-i}.  The merged graph joins each vertex to the merged
-    block of its crossed one (see apply_merge)."""
+    - Base: copy i has its own block x_i on both sides.  So each leaf has
+      degree 2, and each copy with its block is one of 2k+1 components.
+    - Crossed: the blocks are x_{k+1}, y_1..y_k, z_1..z_k.  u_i is joined
+      to y_i (i <= k), x_{k+1} (i = k+1) or z_{2k+2-i} (i >= k+2), and v_i
+      to the block of u_{2k+2-i}: u_block is a permutation of 0..2k and
+      v_block its reverse.  So each leaf has degree 2.  Copies i and
+      2k+2-i, with the blocks of u_i and u_{2k+2-i}, make one component,
+      touched by no other side, so there are k+1 components.  u_{k+1} and
+      v_{k+1} are both joined to x_{k+1}, so u_{k+1}, v_{k+1}, x_{k+1,1}
+      is a triangle and chi >= 3.
+    - Merged: `into` sends y_b and z_b to MY_t and MZ_t, named
+      my_{t(2s+1)+1} and mz_{t(2s+1)+1}, for the run t = (b-1) // (2s+1)
+      of b when t < r, and to MX, named mx_{k+1}, otherwise; x_{k+1} goes
+      to MX.  2k+1 = (2r+1)(2s+1) gives k = r(2s+1)+s, so MY_t and MZ_t
+      take run t's 2s+1 blocks each, and MX takes x_{k+1} and the s
+      leftover y and z blocks: 2s+1 crossed blocks each, whose u and v
+      sides are all distinct.  So a merged leaf has degree 2(2s+1).  The
+      crossed component of copies i and 2k+2-i (i <= k) holds y_i and z_i,
+      which go to one merged pair; so MY_t with MZ_t (t < r), and MX, each
+      make one component with the crossed components they take: r+1
+      components.  The triangle stays, on mx_{k+1,1}.
+    - Regularity: m3 has m = 2n+1, so u and v have degree 2n+2 and a merged
+      leaf 4s+2; it is (2n+2)-regular exactly when n = 2s.  In m2, m+1 is
+      odd and every leaf degree even, so it is never regular."""
     k, m, c = params.k, params.leaves_per_copy, params.copies
-    leaf = range(1, m + 1)
-    x = Role.X  # a local: each Role.X lookup costs about as much as a tuple
     if stage == "base":
-        leaves = [(x, i, j) for i in range(1, c + 1) for j in leaf]
-        u_block = v_block = range(c)
+        return _join(c, m, range(c), range(c), [(Role.X, i) for i in range(1, c + 1)])
+    u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
+    if stage == "crossed":
+        blocks = [(Role.X, k + 1)]
+        blocks += [(role, i) for role in (Role.Y, Role.Z) for i in range(1, k + 1)]
     else:
-        u_block = [*range(1, k + 1), 0, *range(2 * k, k, -1)]
-        if stage == "crossed":
-            leaves = [(x, k + 1, j) for j in leaf]
-            leaves += [(role, i, j) for role in (Role.Y, Role.Z)
-                       for i in range(1, k + 1) for j in leaf]
-        else:
-            if params.factorization is None:
-                raise ParamError("merge requires a factorization (r, s)")
-            r, s = params.factorization
-            block = 2 * s + 1
-            leaves = [(role, t * block + 1, j) for role in (Role.MY, Role.MZ)
-                      for t in range(r) for j in leaf]
-            leaves += [(Role.MX, k + 1, j) for j in leaf]
-            # merged block of each crossed one (x, y_1..y_k, z_1..z_k),
-            # where the merged blocks are my_1..my_r, mz_1..mz_r, mx
-            runs = [(b - 1) // block for b in range(1, k + 1)]
-            into = [2 * r] + [t if t < r else 2 * r for t in runs]
-            into += [r + t if t < r else 2 * r for t in runs]
-            u_block = [into[b] for b in u_block]
-        v_block = u_block[::-1]
-    vertices = [(role, i, 0) for role in (Role.U, Role.V) for i in range(1, c + 1)]
-    eu: List[int] = []
-    ev: List[int] = []
-    for i, b in enumerate(u_block):
-        eu += [i] * (m + 1)
-        ev += [c + i, *range(2 * c + b * m, 2 * c + b * m + m)]
-    for i, b in enumerate(v_block):
-        eu += [c + i] * m
-        ev += range(2 * c + b * m, 2 * c + b * m + m)
-    return [vertices + leaves, [1] * c + [2] * c + [3] * len(leaves), eu, ev]
-
-
-def _graph(layout: list, label: List[Optional[int]]) -> LabeledGraph:
-    """The graph of a layout; its vertex tuples are valid by construction,
-    so they become VertexIds without re-validating each."""
-    vertices, part, eu, ev = layout
-    new = tuple.__new__
-    ids = [new(VertexId, f) for f in vertices]
-    return LabeledGraph._from_arrays(ids, part, eu, ev, label)
+        if params.factorization is None:
+            raise ParamError("merge requires a factorization (r, s)")
+        r, s = params.factorization
+        block = 2 * s + 1
+        blocks = [(role, t * block + 1) for role in (Role.MY, Role.MZ) for t in range(r)]
+        blocks.append((Role.MX, k + 1))
+        # merged block of each crossed one (x, y_1..y_k, z_1..z_k),
+        # where the merged blocks are my_1..my_r, mz_1..mz_r, mx
+        runs = [(b - 1) // block for b in range(1, k + 1)]
+        into = [2 * r] + [t if t < r else 2 * r for t in runs]
+        into += [r + t if t < r else 2 * r for t in runs]
+        u_block = [into[b] for b in u_block]
+    return _join(c, m, u_block, u_block[::-1], blocks)
 
 
 def _restage(g: LabeledGraph, params: FamilyParams, before: str, after: str) -> LabeledGraph:

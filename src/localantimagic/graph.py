@@ -1,4 +1,5 @@
-"""Graph data model, induced colors, and the local antimagic verifier."""
+"""Graph data model, the join layout `_join` that builds every family stage
+and every oracle book, induced colors, and the local antimagic verifier."""
 from __future__ import annotations
 
 import re
@@ -280,6 +281,46 @@ class LabeledGraph:
                 raise GraphError(
                     f"edge ({vs[a]}, {vs[b]}) joins two part-{part[a]} vertices"
                 )
+
+
+def _join(c: int, m: int, u_block, v_block, blocks) -> list:
+    """[vertex field tuples, parts, eu, ev] of c copies of P_2 joined to
+    blocks of m leaves, all in sorted order: the layout of every family
+    stage and of every book.
+
+    Copy i is the edge u_i v_i; u_i is joined to the m leaves of block
+    u_block[i-1] and v_i to those of block v_block[i-1].  Block b is named
+    blocks[b], a (role, index) pair, and its leaves are (role, index, 1..m).
+    The names are leaf roles in increasing order, so the vertices
+    u_1..u_c (part 1), v_1..v_c (part 2), then the leaves block by block
+    (part 3) come out sorted, and every edge joins two parts.  The edges
+    are u_i v_i and u_i's leaf edges, copy by copy, then v_i's leaf edges;
+    each goes to leaf j of a block, in order j, so they come out sorted.
+
+    u_i and v_i have degree m+1: the partner and the m leaves of one
+    block.  Leaf j of block b has one edge from each u and v side joined
+    to b, so its degree is the number of those sides."""
+    leaf = range(1, m + 1)
+    vertices = [(role, i, 0) for role in (Role.U, Role.V) for i in range(1, c + 1)]
+    vertices += [(role, i, j) for role, i in blocks for j in leaf]
+    eu: List[int] = []
+    ev: List[int] = []
+    for i, b in enumerate(u_block):
+        eu += [i] * (m + 1)
+        ev += [c + i, *range(2 * c + b * m, 2 * c + b * m + m)]
+    for i, b in enumerate(v_block):
+        eu += [c + i] * m
+        ev += range(2 * c + b * m, 2 * c + b * m + m)
+    return [vertices, [1] * c + [2] * c + [3] * (len(vertices) - 2 * c), eu, ev]
+
+
+def _graph(layout: list, label: List[Optional[int]]) -> LabeledGraph:
+    """The graph of a layout; its vertex tuples are valid by construction,
+    so they become VertexIds without re-validating each."""
+    vertices, part, eu, ev = layout
+    new = tuple.__new__
+    ids = [new(VertexId, f) for f in vertices]
+    return LabeledGraph._from_arrays(ids, part, eu, ev, label)
 
 
 class ColorReport(NamedTuple):

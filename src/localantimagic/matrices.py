@@ -166,6 +166,28 @@ def build_matrix(params: FamilyParams) -> LabelMatrix:
     rows take blocks 0..rows-1 once each.  Each row lists its block
     reversed, rotated or split by parity, which is a permutation of it.
     So the cells list 1..q once each.  The check below is the guard.
+
+    Leaf lemma: `ux` row j at copy i plus `vx` row j at copy 2k+2-i is
+    `center_constant`, (rows+1)*c + 1, for every j and i.  Write a cell of
+    block b as b*c + o, its offset o in 1..c.  ux row j and vx row j take
+    blocks whose indices sum to rows (4n+3-j + j in M3, 4n+2-2j + 2j-1 in
+    M2), so the sum is rows*c plus two offsets, and it is enough that the
+    offsets at copies i and i' = 2k+2-i add to c+1.  By row class:
+    - Up, rotated left by r_u on the u side and by r_v on the v side, with
+      r_u + r_v = 0 mod c (M3's even rows: 0 and 0; M2's odd rows: k+1
+      and k): copy i has offset ((i-1+r_u) mod c) + 1, copy i' has
+      ((i'-1+r_v) mod c) + 1.  The residues add to 2k = c-1 mod c and to
+      at most 2c-2, so to c-1, and the offsets to c+1.
+    - Down, with the same rotations (M3's odd rows, M2's even rows
+      j >= 4): each offset is c+1 minus the up row's, so the two add to
+      2(c+1) - (c+1).
+    - M2's j = 2 parity split: the u offset is 2k+2-2i for i <= k and
+      4k+3-2i for i > k; the v offset at i' is 2k+3-2i' for i' <= k+1 and
+      4k+4-2i' for i' > k+1.  For i <= k, i' > k+1 and the sum is
+      2k+2-2i + 2i; for i > k, i' <= k+1 and it is 4k+3-2i + 2i-2k-1.
+      Both are 2k+2 = c+1.
+    A crossed leaf is joined to u_i and v_{2k+2-i}, so this sum is its
+    color; a merged leaf joins 2s+1 crossed leaves.
     """
     rows_of = _rows_m2 if params.family is Family.M2 else _rows_m3
     ux, vx = rows_of(params.n, params.k)
@@ -179,7 +201,25 @@ def build_matrix(params: FamilyParams) -> LabelMatrix:
 
 
 def matrix_column_sums(mat: LabelMatrix) -> Tuple[int, int]:
-    """(u-block column sum, v-block column sum); constant across columns."""
+    """(u-block column sum, v-block column sum); AssertionError unless
+    each is constant across columns.
+
+    They are constant for every n and k.  Column i's uv cell is i, its
+    offset in block 0, and each leaf cell is its row's block base plus an
+    offset, as in build_matrix's leaf lemma.
+    - M3: on each side the n+1 odd rows run down (offset c+1-i) and the n
+      even rows up (offset i), so with the uv cell the offsets add to
+      (n+1)(c+1-i) + n*i + i = (n+1)(c+1).
+    - M2: on each side rows j >= 3 pair up, odd j up and j+1 down, with
+      the same rotation, so each pair's offsets add to c+1.  Rows 1 and 2
+      and the uv cell add to 3k+3: on the u side (i+k+1) + (2k+2-2i) + i
+      for i <= k and (i-k) + (4k+3-2i) + i for i > k; on the v side
+      (i+k) + (2k+3-2i) + i for i <= k+1 and (i-k-1) + (4k+4-2i) + i for
+      i > k+1.
+    So a side's column sum is c times its block indices plus a constant.
+    That sum and c_u or c_v have degree at most 2 in n and 1 in k, so
+    `test_column_sums_are_the_closed_forms`, which compares them on
+    {1,2,3} x {1,2}, proves them equal for all n and k."""
     u_sums = {sum(col) for col in zip(mat.uv, *mat.ux)}
     v_sums = {sum(col) for col in zip(mat.uv, *mat.vx)}
     if len(u_sums) != 1 or len(v_sums) != 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import _kernels
-from .graph import Edge, LabeledGraph, Role, VertexId
+from .graph import Edge, LabeledGraph, Role, VertexId, _graph, _join
 from .matrices import ParamError
 
 HARD_EDGE_LIMIT = 12
@@ -257,24 +257,11 @@ def book_size(a: int, m: int) -> int:
 
 
 def book_graph(a: int, m: int) -> LabeledGraph:
-    """aP_2 v O_m: a disjoint labeled edges u_iv_i joined to m shared
-    leaves, every leaf adjacent to every u_i and v_i.  Unlabeled."""
-    book_size(a, m)
-    # sorted: u_1..u_a, v_1..v_a, then the leaves; each u_i's edges to v_i
-    # and the leaves, then each v_i's edges to the leaves
-    vertices = [VertexId(role, i) for role in (Role.U, Role.V) for i in range(1, a + 1)]
-    vertices += [VertexId(Role.X, 1, j) for j in range(1, m + 1)]
-    leaves = range(2 * a, 2 * a + m)
-    eu: List[int] = []
-    ev: List[int] = []
-    for i in range(a):
-        eu += [i] * (m + 1)
-        ev += [a + i, *leaves]
-    for i in range(a, 2 * a):
-        eu += [i] * m
-        ev += leaves
-    return LabeledGraph._from_arrays(vertices, [1] * a + [2] * a + [3] * m,
-                                     eu, ev, [None] * len(eu))
+    """aP_2 v O_m: a disjoint edges u_iv_i joined to m shared leaves, every
+    leaf adjacent to every u_i and v_i; the `_join` of a copies to one
+    block.  Unlabeled."""
+    q = book_size(a, m)
+    return _graph(_join(a, m, [0] * a, [0] * a, [(Role.X, 1)]), [None] * q)
 
 
 def path_p2() -> LabeledGraph:

@@ -44,8 +44,8 @@ def check_cell(params: FamilyParams, stage: str) -> CellResult:
 
     A cell that passes is local antimagic without a verifier run:
     - every edge joins two different parts: chi lower bound 3 comes only
-      after check_tripartite passes, and _layout puts U in part 1, V in
-      part 2 and every leaf in part 3;
+      after check_tripartite passes, and graph._join, the layout of every
+      stage, puts U in part 1, V in part 2 and every leaf in part 3;
     - the three formula colors are pairwise distinct for every crossed and
       merged member (README's proved closed forms and sign lemmas), and
       every vertex is measured at its role's color, so adjacent vertices

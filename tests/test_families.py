@@ -23,7 +23,8 @@ from localantimagic import (
     iter_connecting_swaps,
     verify_local_antimagic,
 )
-from localantimagic.families import connecting_center_pairs
+from localantimagic.families import _layout, connecting_center_pairs
+from localantimagic.formulas import claims
 from localantimagic.sweep import grid_cells
 
 
@@ -102,7 +103,7 @@ def test_build_family_equals_the_staged_chain(params, stage):
 def reference_stage(params, stage):
     """The stage as the docstrings of build_base_graph, apply_crossing and
     apply_merge describe it, built edge by edge in dicts.  It never calls
-    _layout, _graph or build_family, so it checks their layout.
+    _layout, _join, _graph or build_family, so it checks their layout.
 
     Copy i is u_i v_i with both ends joined to leaves x_{i,1..m}; its edges
     carry column i of the matrix.  Crossing moves v_i's leaf edge j to
@@ -248,6 +249,62 @@ def test_merge_component_count():
             k = ((2 * r + 1) * (2 * s + 1) - 1) // 2
             g = build_family(FamilyParams(fam, n, k, (r, s)), "merged")
             assert graph_stats(g)[0] == r + 1
+
+
+def _layout_structure(vertices, eu, ev):
+    """(degree per vertex position, component count) of a layout's arrays,
+    the components by a union-find of the test's own over eu and ev."""
+    n = len(vertices)
+    up, degree = list(range(n)), [0] * n
+
+    def root(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for a, b in zip(eu, ev):
+        degree[a] += 1
+        degree[b] += 1
+        up[root(a)] = root(b)
+    return degree, sum(root(x) == x for x in range(n))
+
+
+STRUCTURE_CELLS = [
+    (FamilyParams(fam, n, k), stage)
+    for fam in (Family.M2, Family.M3) for n in (1, 2) for k in range(1, 61)
+    for stage in ("base", "crossed")
+] + [
+    (FamilyParams(fam, n, 2 * r * s + r + s, (r, s)), "merged")
+    for fam in (Family.M2, Family.M3) for n in (1, 2)
+    for r in range(1, 9) for s in range(1, 9)
+]
+
+
+def test_layout_structure_lemmas():
+    """The structure `_layout`'s docstring proves, read off its arrays with
+    no graph built: u and v have degree m+1 and every leaf 2, or 2(2s+1)
+    when merged; there are 2k+1, k+1 or r+1 components; u_{k+1}, v_{k+1}
+    and leaf 1 of the middle block form a triangle.  The crossed and
+    merged counts and degrees are the ones `formulas.claims` states, so
+    m3 merged at n = 2s is (2n+2)-regular and no other cell is regular."""
+    for params, stage in STRUCTURE_CELLS:
+        vertices, _, eu, ev = _layout(params, stage)
+        degree, components = _layout_structure(vertices, eu, ev)
+        k, c, m = params.k, params.copies, params.leaves_per_copy
+        leaf = 2 * (2 * params.factorization[1] + 1) if stage == "merged" else 2
+        assert degree[:2 * c] == [m + 1] * 2 * c, (params, stage)
+        assert set(degree[2 * c:]) == {leaf}, (params, stage)
+        if stage == "base":
+            assert components == c
+            middle = (Role.X, k + 1, 1)
+        else:
+            want = claims(params, stage)
+            regular = degree[0] if len(set(degree)) == 1 else None
+            assert (components, regular) == (want.components, want.regular), (params, stage)
+            middle = (Role.X if stage == "crossed" else Role.MX, k + 1, 1)
+        x = vertices.index(middle)
+        assert {(k, c + k), (k, x), (c + k, x)} <= set(zip(eu, ev)), (params, stage)
 
 
 def test_merge_requires_factorization(g45):

@@ -13,7 +13,7 @@ from localantimagic import (
     build_matrix,
     matrix_column_sums,
 )
-from localantimagic.formulas import center_constant
+from localantimagic.formulas import center_constant, color_triple
 from localantimagic.io import matrix_to_csv
 from localantimagic.matrices import row_names
 
@@ -155,8 +155,9 @@ def test_m3_column_sums_match_closed_forms(n, k):
 def test_crossing_pair_constant(family, n, k):
     """The leaf-color lemma: `ux` row j at copy i plus `vx` row j at copy
     2k+2-i is center_constant, for every row j and copy i.  A crossed leaf
-    is joined to u_i and v_(2k+2-i), so this is its color (README,
-    "Grid-checked only")."""
+    is joined to u_i and v_(2k+2-i), so this is its color.  build_matrix's
+    docstring proves it for all n and k; test_leaf_row_pair_lemma checks
+    the proof's steps."""
     params = FamilyParams(family, n, k)
     mat = build_matrix(params)
     const = center_constant(params)
@@ -165,6 +166,94 @@ def test_crossing_pair_constant(family, n, k):
         for u, v in zip(ux, reversed(vx)):
             assert u + v == const
         assert ux[k] + vx[k] == const  # copy k+1 pairs with itself
+
+
+def _blocks(params):
+    """(u block, v block) of each leaf row j, as build_matrix's docstring
+    states the block map."""
+    n = params.n
+    if params.family is Family.M3:
+        return [(4 * n + 3 - j, j) for j in range(1, 2 * n + 2)]
+    return [(4 * n + 2 - 2 * j, 2 * j - 1) for j in range(1, 2 * n + 1)]
+
+
+def _offsets(params):
+    """(u offsets, v offsets) of each leaf row, copy by copy: cell minus
+    block times c.  Each row lists its block once, so 1..c once."""
+    mat, c = build_matrix(params), params.copies
+    rows = []
+    for (bu, bv), ux, vx in zip(_blocks(params), mat.ux, mat.vx):
+        ou, ov = [x - bu * c for x in ux], [x - bv * c for x in vx]
+        assert sorted(ou) == sorted(ov) == list(range(1, c + 1)), params
+        rows.append((ou, ov))
+    return rows
+
+
+# A row's offsets depend on its class and k only, and n = 2 already holds
+# every class of both families: M3's up and down rows, M2's rows 1 and 2
+# and a rotated up/down pair j >= 3.
+LEMMA_CELLS = [(n, k) for n in range(1, 7) for k in range(1, 61)]
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+def test_leaf_row_pair_lemma(family):
+    """build_matrix's leaf lemma, step by step: ux row j and vx row j take
+    blocks whose indices sum to rows, center_constant is (rows+1)c+1, and
+    the offsets at copies i and 2k+2-i add to c+1 in every row."""
+    for n, k in LEMMA_CELLS:
+        params = FamilyParams(family, n, k)
+        c = params.copies
+        assert center_constant(params) == (params.rows + 1) * c + 1
+        assert {bu + bv for bu, bv in _blocks(params)} == {params.rows}
+        for ou, ov in _offsets(params):
+            assert [a + b for a, b in zip(ou, reversed(ov))] == [c + 1] * c, (n, k)
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+def test_column_sum_lemma(family):
+    """matrix_column_sums' lemma, step by step, on each side: in M3 the
+    leaf offsets and the uv cell add to (n+1)(c+1) in every column; in M2
+    rows 1 and 2 and the uv cell add to 3k+3, and each up/down pair of
+    rows j >= 3 to c+1."""
+    for n, k in LEMMA_CELLS:
+        c = 2 * k + 1
+        offsets, uv = _offsets(FamilyParams(family, n, k)), range(1, c + 1)
+        for side in (0, 1):
+            rows = [row[side] for row in offsets]
+            if family is Family.M3:
+                assert [sum(col) for col in zip(uv, *rows)] == [(n + 1) * (c + 1)] * c
+                continue
+            assert [sum(col) for col in zip(uv, *rows[:2])] == [3 * k + 3] * c
+            for up, down in zip(rows[2::2], rows[3::2]):
+                assert [a + b for a, b in zip(up, down)] == [c + 1] * c, (n, k)
+
+
+def column_sum_forms(family, n, k):
+    """(u, v) column sums as matrix_column_sums' lemma adds them up: c times
+    the side's block indices plus the offsets' constant.  M3's u blocks
+    2n+2..4n+2 add to (2n+1)(3n+2) and its v blocks 1..2n+1 to
+    (2n+1)(n+1); M2's u blocks 2, 4, .., 4n add to 2n(2n+1) and its v
+    blocks 1, 3, .., 4n-1 to 4n^2."""
+    c = 2 * k + 1
+    if family is Family.M3:
+        rest = (n + 1) * (c + 1)
+        return c * (2 * n + 1) * (3 * n + 2) + rest, c * (2 * n + 1) * (n + 1) + rest
+    rest = (n - 1) * (c + 1) + 3 * k + 3
+    return c * 2 * n * (2 * n + 1) + rest, c * 4 * n * n + rest
+
+
+@pytest.mark.parametrize("family", [Family.M2, Family.M3])
+def test_column_sums_are_the_closed_forms(family):
+    """The lemma's sums equal color_triple's c_u and c_v.  Both sides have
+    degree at most 2 in n and 1 in k, so agreeing on {1,2,3} x {1,2}
+    proves the identity for all n and k.  The wider grid adds evidence
+    that the lemma's sums are the matrix's."""
+    for n, k in product(range(1, 4), range(1, 3)):
+        t = color_triple(FamilyParams(family, n, k))
+        assert column_sum_forms(family, n, k) == (t.c_u, t.c_v), (n, k)
+    for n, k in product(range(1, 13), repeat=2):
+        mat = build_matrix(FamilyParams(family, n, k))
+        assert column_sum_forms(family, n, k) == matrix_column_sums(mat), (n, k)
 
 
 @pytest.mark.parametrize("family", [Family.M2, Family.M3])

@@ -139,6 +139,20 @@ def test_book_sizes_must_be_ints(a, m, name):
         book_graph(a, m)
 
 
+@pytest.mark.parametrize("a, m", itertools.product(range(1, 5), range(5)))
+def test_book_graph_is_its_definition(a, m):
+    """aP_2 v O_m built in dicts from its definition: the edges u_iv_i, and
+    every u_i and v_i joined to every shared leaf.  The books share their
+    layout with the family stages, so a fault in it fails here too."""
+    us = [VertexId(Role.U, i) for i in range(1, a + 1)]
+    vs = [VertexId(Role.V, i) for i in range(1, a + 1)]
+    leaves = [VertexId(Role.X, 1, j) for j in range(1, m + 1)]
+    edges = {edge(u, v) for u, v in zip(us, vs)}
+    edges |= {edge(w, x) for w in us + vs for x in leaves}
+    part = {**dict.fromkeys(us, 1), **dict.fromkeys(vs, 2), **dict.fromkeys(leaves, 3)}
+    assert book_graph(a, m) == LabeledGraph(part=part, edges=edges)
+
+
 def test_hard_limit_caps_budget():
     with pytest.raises(BudgetError):
         exhaustive_chi_la(book_graph(3, 2), edge_budget=100)
@@ -197,19 +211,6 @@ _TWO_COLORS = LabeledGraph(
            for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2))},
 )
 
-REFERENCE_GRAPHS = [book_graph(1, 1), book_graph(1, 2), book_graph(2, 1), book_graph(1, 3),
-                    path_p2()]
-REFERENCE_GRAPHS += [_random_tripartite(random.Random(seed), q)
-                     for seed, q in enumerate((4, 5, 6, 6, 7, 7))]
-REFERENCE_GRAPHS += [
-    _ring(1),  # q = 0
-    _ring(3), book_graph(2, 0),  # q = 2: P_3 and two disjoint edges
-    _ring(4), _ring(5), _ring(4, closed=True), _ring(6, closed=True),  # floor 2
-    _ring(5, closed=True),  # odd cycle
-    _ring(3, isolated=1), _ring(3, closed=True, isolated=1),
-    _TWO_COLORS,
-]
-
 
 def _graph(pairs):
     """The graph on the given edges, vertex (p, i) in part p."""
@@ -228,19 +229,38 @@ TWINS = [
             ((1, 1), (2, 2)), ((1, 1), (2, 3))]),
     _graph([((1, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (2, 2)), ((2, 1), (3, 1))]),
 ]
-REFERENCE_GRAPHS += TWINS
 
 
-def test_fallback_kernel_agrees():
+@pytest.fixture(scope="module")
+def reference_graphs():
+    """Built when a test asks, not while the module is collected, so a
+    fault in book_graph fails the tests that use books and leaves the
+    others to run."""
+    graphs = [book_graph(1, 1), book_graph(1, 2), book_graph(2, 1), book_graph(1, 3),
+              path_p2()]
+    graphs += [_random_tripartite(random.Random(seed), q)
+               for seed, q in enumerate((4, 5, 6, 6, 7, 7))]
+    graphs += [
+        _ring(1),  # q = 0
+        _ring(3), book_graph(2, 0),  # q = 2: P_3 and two disjoint edges
+        _ring(4), _ring(5), _ring(4, closed=True), _ring(6, closed=True),  # floor 2
+        _ring(5, closed=True),  # odd cycle
+        _ring(3, isolated=1), _ring(3, closed=True, isolated=1),
+        _TWO_COLORS,
+    ]
+    return graphs + TWINS
+
+
+def test_fallback_kernel_agrees(reference_graphs):
     # the search kernel against a plain enumeration of every bijection, on
     # q = 0..7, bipartite graphs (floor 2), graphs with odd cycles (floor
     # 3), each floor reached by some graph, and graphs with twins.  An
     # isolated vertex's sum 0 is one more color, so graphs with one never
     # reach the floor; those graphs check the color count there.
-    assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in REFERENCE_GRAPHS)
-    assert {0, 1, 2, 3} <= {g.q for g in REFERENCE_GRAPHS}
+    assert any(len(g.part) > len({v for e in g.edges for v in e}) for g in reference_graphs)
+    assert {0, 1, 2, 3} <= {g.q for g in reference_graphs}
     reached = set()
-    for g in REFERENCE_GRAPHS:
+    for g in reference_graphs:
         chi, witness, valid = _reference_chi_la(g)
         floor = _kernel_inputs(g)[1][-1]
         if chi == floor:
@@ -256,15 +276,15 @@ def _bounded_count(low, q):
                for lab in itertools.permutations(range(1, q + 1)))
 
 
-def test_bounds_keep_one_labeling_per_orbit():
+def test_bounds_keep_one_labeling_per_orbit(reference_graphs):
     # every bound points back, and the bounded permutations times the group
     # order is q!: one bijection per orbit, and no orbit is smaller
-    for g in REFERENCE_GRAPHS:
+    for g in reference_graphs:
         _, inputs, order = _kernel_inputs(g)
         low, q = inputs[3], inputs[4]
         assert all(low[p] == q or low[p] < p for p in range(q))
         assert _bounded_count(low, q) * order == math.factorial(q)
-    assert sum(_kernel_inputs(g)[2] > 1 for g in REFERENCE_GRAPHS) >= 20
+    assert sum(_kernel_inputs(g)[2] > 1 for g in reference_graphs) >= 20
 
 
 def _edge_automorphisms(g):
@@ -293,11 +313,11 @@ SYMMETRIC = [
 ]
 
 
-def test_group_is_every_edge_automorphism_but_lone_edge_moves():
+def test_group_is_every_edge_automorphism_but_lone_edge_moves(reference_graphs):
     # the group is all of Aut(G) acting on the edges, except that lone
     # edges stay put: moving a lone edge's ends does not move the edge, so
     # they are left out, and k lone edges lose the k! ways to permute them
-    for g in REFERENCE_GRAPHS + SYMMETRIC:
+    for g in reference_graphs + SYMMETRIC:
         if len(g.part) > 8:
             continue
         lone = sum(all(sum(v in f for f in g.edges) == 1 for v in e) for e in g.edges)
@@ -369,10 +389,10 @@ def test_larger_books_have_chi_la_3(am, valid):
     assert (r.chi_la, r.valid_labelings) == (3, valid)
 
 
-def test_floor_is_two_exactly_on_bipartite_graphs():
+def test_floor_is_two_exactly_on_bipartite_graphs(reference_graphs):
     # the oracle's parity union-find against the graph index's BFS
-    floors = [_kernel_inputs(g)[1][-1] for g in REFERENCE_GRAPHS]
-    assert floors == [2 if g.index.bipartite else 3 for g in REFERENCE_GRAPHS]
+    floors = [_kernel_inputs(g)[1][-1] for g in reference_graphs]
+    assert floors == [2 if g.index.bipartite else 3 for g in reference_graphs]
     assert floors.count(2) >= 8 and floors.count(3) >= 8
 
 
